@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test bench bench-check bench-pytest coverage smoke migrate-smoke serve-smoke whatif-smoke fuzz lint selfcheck chaos
+.PHONY: test bench bench-check coverage smoke migrate-smoke serve-smoke whatif-smoke fuzz lint selfcheck chaos
 
 # tier-1 test suite
 test:
@@ -35,24 +35,16 @@ fuzz:
 selfcheck:
 	MPA_SCALE=$${MPA_SCALE:-small} $(PYTHON) -m repro.cli selfcheck
 
-# perf-regression runner: every bench_*.py, BENCH_*.json artifacts in
-# benchmarks/results/ (see `mpa bench --help` and DESIGN.md)
+# every paper benchmark once: output pins vs benchmarks/baseline.json
+# plus each bench's paper claims (see `mpa bench --help` and DESIGN.md);
+# exits nonzero on drift, a raised bench, a failed claim or a missing pin
 bench:
 	$(PYTHON) -m repro.cli bench
 
-# gate the smoke benchmark against the committed noise-aware baseline;
-# exits nonzero on a wall-time regression or output drift (the drift
-# check is repeated standalone so a checksum mismatch is reported even
-# when the timing gate passes)
+# the CI subset of `bench`: pins and claims of the runtime smoke and the
+# serve load bench
 bench-check:
-	$(PYTHON) -m repro.cli bench --filter runtime_smoke \
-		--compare benchmarks/baseline.json
-	$(PYTHON) tools/check_bench_drift.py runtime_smoke
-
-# full paper-reproduction benchmark suite under pytest (prints
-# tables/figures with -s); the same scripts the perf runner executes
-bench-pytest:
-	$(PYTHON) -m pytest benchmarks/ -q -s
+	$(PYTHON) -m repro.cli bench --filter runtime_smoke --filter serve_load
 
 # kill-resume chaos harness: SIGKILL the streaming ingester at
 # randomized WAL offsets / fault points, recover, and require the
@@ -63,11 +55,12 @@ chaos:
 	$(PYTHON) -m repro.stream.chaos --iterations 5 --seed 7 \
 		--log chaos-recovery.jsonl
 
-# parallel-runtime smoke: tiny workspace under MPA_JOBS=2 + telemetry,
+# parallel-runtime smoke: the bench-check subset under MPA_JOBS=2 (a
+# tiny workspace built with two workers must equal the serial build),
 # then the fused single-pass build with cold and hot content memos
 # (must agree bit-for-bit with the stage-cached build)
 smoke:
-	MPA_JOBS=2 $(PYTHON) -m pytest benchmarks/bench_runtime_smoke.py -q -s
+	MPA_JOBS=2 $(PYTHON) -m repro.cli bench --filter runtime_smoke --filter serve_load
 	$(PYTHON) tools/fused_smoke.py
 
 # legacy .npz -> columnar store round trip: the migrated store must be

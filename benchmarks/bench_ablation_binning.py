@@ -10,54 +10,14 @@ import numpy as np
 
 from repro.analysis.dependence import rank_practices_by_mi
 from repro.util.binning import apply_bins
-from repro.util.tables import render_table
 
-
-def _run(dataset):
-    clamped = rank_practices_by_mi(dataset, low_pct=5, high_pct=95)
-    naive = rank_practices_by_mi(dataset, low_pct=0, high_pct=100)
-    return clamped, naive
-
-
-def test_ablation_binning_strategy(benchmark, dataset):
-    clamped, naive = benchmark.pedantic(_run, args=(dataset,), rounds=1,
-                                        iterations=1)
-
-    # bin-occupancy comparison for a heavily long-tailed metric (change
-    # volume: a few sweep-heavy months dwarf the 95th percentile)
-    column = dataset.column("n_config_changes")
-    occupancy_clamped = np.bincount(apply_bins(column, 10), minlength=10)
-    occupancy_naive = np.bincount(
-        apply_bins(column, 10, low_pct=0, high_pct=100), minlength=10
-    )
-
-    rows = [
-        [f"bin {i}", int(occupancy_naive[i]), int(occupancy_clamped[i])]
-        for i in range(10)
-    ]
-    print()
-    print(render_table(["n_config_changes bin", "min/max", "5/95 clamped"], rows,
-                       title="Ablation: bin occupancy under both strategies"))
-    def top_fmt(results):
-        return [(r.practice, round(r.avg_monthly_mi, 3))
-                for r in results[:5]]
-    print("top-5 MI (clamped):", top_fmt(clamped))
-    print("top-5 MI (min/max):", top_fmt(naive))
-
-    # clamped binning spreads cases more evenly: higher occupancy entropy
-    def occupancy_entropy(occ):
-        p = occ[occ > 0] / occ.sum()
-        return float(-(p * np.log2(p)).sum())
-
-    assert occupancy_entropy(occupancy_clamped) > occupancy_entropy(
-        occupancy_naive
-    )
-    # and the biggest bin hoards fewer cases
-    assert occupancy_clamped.max() <= occupancy_naive.max()
 
 def run(ctx):
-    """Bench protocol (repro.bench): binning-strategy ablation."""
-    clamped, naive = _run(ctx.dataset)
+    """Bin occupancy of a long-tailed metric and the top-5 MI practices
+    under clamped vs min/max binning."""
+    clamped = rank_practices_by_mi(ctx.dataset, low_pct=5, high_pct=95)
+    naive = rank_practices_by_mi(ctx.dataset, low_pct=0, high_pct=100)
+    # change volume: a few sweep-heavy months dwarf the 95th percentile
     column = ctx.dataset.column("n_config_changes")
     occupancy_clamped = np.bincount(apply_bins(column, 10), minlength=10)
     occupancy_naive = np.bincount(
@@ -70,3 +30,20 @@ def run(ctx):
             "occupancy_naive": occupancy_naive.tolist(),
             "top5_clamped": top5(clamped),
             "top5_naive": top5(naive)}
+
+
+def _occupancy_entropy(occupancy):
+    occ = np.asarray(occupancy)
+    p = occ[occ > 0] / occ.sum()
+    return float(-(p * np.log2(p)).sum())
+
+
+def claims(result):
+    clamped = result["occupancy_clamped"]
+    naive = result["occupancy_naive"]
+    return {
+        "§5.1.1: clamped binning spreads cases (higher occupancy "
+        "entropy)": _occupancy_entropy(clamped) > _occupancy_entropy(naive),
+        "§5.1.1: clamped binning's biggest bin hoards fewer cases":
+            max(clamped) <= max(naive),
+    }

@@ -10,56 +10,38 @@ high-impact count's.
 
 from repro.analysis.mutual_information import binned_mutual_information
 from repro.metrics.health_alt import alternative_health_columns
-from repro.util.tables import render_table
 
 PRACTICES = ("n_change_events", "n_devices", "n_change_types")
 
 
-def _run(dataset, workspace):
-    corpus = workspace.corpus()
-    alt = alternative_health_columns(dataset, corpus.tickets)
+def run(ctx):
+    """MI(practice; health) for the ticket count and its alternatives."""
+    dataset = ctx.dataset
+    alt = alternative_health_columns(dataset, ctx.workspace.corpus().tickets)
     outcomes = {
         "ticket count": dataset.tickets.astype(float),
         "MTTR": alt.mttr_minutes,
         "high-impact count": alt.high_impact.astype(float),
         "alarm count": alt.alarm_count.astype(float),
     }
-    table = {}
-    for outcome_name, outcome in outcomes.items():
-        table[outcome_name] = {
-            practice: binned_mutual_information(
-                dataset.column(practice), outcome
-            )
-            for practice in PRACTICES
-        }
-    return table
+    return {outcome_name: {
+                practice: float(binned_mutual_information(
+                    dataset.column(practice), outcome))
+                for practice in PRACTICES}
+            for outcome_name, outcome in outcomes.items()}
 
 
-def test_ablation_health_metric(benchmark, dataset, workspace):
-    table = benchmark.pedantic(_run, args=(dataset, workspace), rounds=1,
-                               iterations=1)
-
-    rows = [
-        [outcome] + [f"{table[outcome][p]:.3f}" for p in PRACTICES]
-        for outcome in table
-    ]
-    print()
-    print(render_table(["health metric"] + list(PRACTICES), rows,
-                       title="Ablation: MI(practice; health) per health "
-                             "metric"))
-
-    for practice in PRACTICES:
-        count_mi = table["ticket count"][practice]
+def claims(result):
+    count = result["ticket count"]
+    return {
         # MTTR is resolution-lag noise: clearly weaker than the count
-        assert table["MTTR"][practice] < count_mi, practice
+        "§2.2: MTTR depends less on practices than ticket count": all(
+            result["MTTR"][p] < count[p] for p in PRACTICES),
         # high-impact labels are subjective subsamples: weaker too
-        assert table["high-impact count"][practice] <= count_mi + 0.01, practice
+        "§2.2: high-impact count depends no more than ticket count": all(
+            result["high-impact count"][p] <= count[p] + 0.01
+            for p in PRACTICES),
         # alarm count is a ~fixed fraction of the count: close to it
-        assert table["alarm count"][practice] > 0.5 * count_mi, practice
-
-def run(ctx):
-    """Bench protocol (repro.bench): MI per alternative health metric."""
-    table = _run(ctx.dataset, ctx.workspace)
-    return {outcome: {practice: float(mi)
-                      for practice, mi in row.items()}
-            for outcome, row in table.items()}
+        "§2.2: alarm count keeps > half the ticket count's MI": all(
+            result["alarm count"][p] > 0.5 * count[p] for p in PRACTICES),
+    }

@@ -14,12 +14,13 @@ from repro.analysis.qed.matching import (
 )
 from repro.analysis.qed.propensity import propensity_scores
 from repro.analysis.qed.treatment import TreatmentBinning
-from repro.util.tables import render_table
 
 TREATMENT = "n_change_events"
 
 
-def _run(dataset):
+def run(ctx):
+    """Pairs found by exact, Mahalanobis and propensity NN matching."""
+    dataset = ctx.dataset
     names, confounders = build_confounders(dataset, TREATMENT,
                                            mode="same-month")
     binning = TreatmentBinning.fit(TREATMENT, dataset.column(TREATMENT), 5)
@@ -32,37 +33,25 @@ def _run(dataset):
     s_u, s_t = propensity_scores(u_conf, t_conf, l2=0.1)
     propensity = nearest_neighbor_match(_to_logit(s_u), _to_logit(s_t),
                                         untreated_idx, treated_idx)
-    return len(treated_idx), exact, mahalanobis, propensity
-
-
-def test_ablation_matching_method(benchmark, dataset):
-    n_treated, exact, mahalanobis, propensity = benchmark.pedantic(
-        _run, args=(dataset,), rounds=1, iterations=1,
-    )
-
-    rows = [
-        ["exact", exact.n_pairs, f"{exact.n_pairs / n_treated:.1%}"],
-        ["mahalanobis (caliper)", mahalanobis.n_pairs,
-         f"{mahalanobis.n_pairs / n_treated:.1%}"],
-        ["propensity NN", propensity.n_pairs,
-         f"{propensity.n_pairs / n_treated:.1%}"],
-    ]
-    print()
-    print(render_table(["method", "pairs", "treated matched"], rows,
-                       title="Ablation: matching methods "
-                             f"({n_treated} treated cases)"))
-
-    # the paper's contrast: exact matching is hopeless with this many
-    # confounders; propensity matching pairs nearly everyone
-    assert exact.n_pairs <= 0.02 * n_treated
-    assert propensity.n_pairs >= 0.7 * n_treated
-    assert propensity.n_pairs > 10 * max(exact.n_pairs, 1)
-    assert mahalanobis.n_pairs < propensity.n_pairs
-
-def run(ctx):
-    """Bench protocol (repro.bench): matching-method ablation."""
-    n_treated, exact, mahalanobis, propensity = _run(ctx.dataset)
-    return {"n_treated": int(n_treated),
+    return {"n_treated": int(len(treated_idx)),
             "exact_pairs": int(exact.n_pairs),
             "mahalanobis_pairs": int(mahalanobis.n_pairs),
             "propensity_pairs": int(propensity.n_pairs)}
+
+
+def claims(result):
+    n_treated = result["n_treated"]
+    exact = result["exact_pairs"]
+    propensity = result["propensity_pairs"]
+    # the paper's contrast: exact matching is hopeless with this many
+    # confounders; propensity matching pairs nearly everyone
+    return {
+        "§5.2.3: exact matching pairs <= 2% of treated cases":
+            exact <= 0.02 * n_treated,
+        "§5.2.3: propensity matching pairs >= 70% of treated cases":
+            propensity >= 0.7 * n_treated,
+        "§5.2.3: propensity finds > 10x the exact pairs":
+            propensity > 10 * max(exact, 1),
+        "§5.2.3: Mahalanobis finds fewer pairs than propensity":
+            result["mahalanobis_pairs"] < propensity,
+    }

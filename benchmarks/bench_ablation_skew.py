@@ -12,7 +12,6 @@ from repro.ml.boosting import AdaBoostClassifier
 from repro.ml.model_eval import cross_validate
 from repro.ml.sampling import oversample
 from repro.ml.tree import DecisionTreeClassifier
-from repro.util.tables import render_table
 
 
 def _evaluate(X, y, factors, n_rounds):
@@ -29,10 +28,16 @@ def _evaluate(X, y, factors, n_rounds):
                           train_transform=transform)
 
 
-def _run(dataset):
-    bins = fit_feature_bins(dataset.values)
-    X = bins.transform(dataset.values)
-    y = health_classes(dataset.tickets, FIVE_CLASS)
+def intermediate_recall(report):
+    return sum(report.report_for(c).recall for c in (1, 2, 3)
+               if c in report.labels)
+
+
+def run(ctx):
+    """Accuracy and mid-class recall per oversampling/boosting setting."""
+    bins = fit_feature_bins(ctx.dataset.values)
+    X = bins.transform(ctx.dataset.values)
+    y = health_classes(ctx.dataset.tickets, FIVE_CLASS)
     paper_factors = {1: 3, 2: 3, 3: 2}
     configs = {
         "no OS, no AB": ({}, 0),
@@ -42,45 +47,22 @@ def _run(dataset):
         "AB 15 rounds (paper)": ({}, 15),
         "OS + AB 15 (paper)": (paper_factors, 15),
     }
+    out = {}
+    for name, (factors, rounds) in configs.items():
+        report = _evaluate(X, y, factors, rounds)
+        out[name] = {"accuracy": float(report.accuracy),
+                     "intermediate_recall":
+                         float(intermediate_recall(report))}
+    return out
+
+
+def claims(result):
+    plain = result["no OS, no AB"]["intermediate_recall"]
     return {
-        name: _evaluate(X, y, factors, rounds)
-        for name, (factors, rounds) in configs.items()
+        "§6.1: oversampling lifts intermediate recall over the plain "
+        "tree": result["paper OS only"]["intermediate_recall"] > plain,
+        "§6.1: OS + AB 15 keeps the intermediate-recall lift":
+            result["OS + AB 15 (paper)"]["intermediate_recall"] > plain,
+        "§6.1: no skew setting drops to accuracy <= 0.35": all(
+            row["accuracy"] > 0.35 for row in result.values()),
     }
-
-
-def intermediate_recall(report):
-    return sum(report.report_for(c).recall for c in (1, 2, 3)
-               if c in report.labels)
-
-
-def test_ablation_skew_handling(benchmark, dataset):
-    reports = benchmark.pedantic(_run, args=(dataset,), rounds=1,
-                                 iterations=1)
-
-    rows = [
-        [name, f"{report.accuracy:.3f}",
-         f"{intermediate_recall(report):.2f}"]
-        for name, report in reports.items()
-    ]
-    print()
-    print(render_table(["configuration", "accuracy", "sum recall(mid 3)"],
-                       rows, title="Ablation: skew handling (5-class)"))
-
-    plain = reports["no OS, no AB"]
-    paper_os = reports["paper OS only"]
-    combined = reports["OS + AB 15 (paper)"]
-
-    # oversampling lifts intermediate recall over the plain tree
-    assert intermediate_recall(paper_os) > intermediate_recall(plain)
-    # the paper's full combination keeps the lift
-    assert intermediate_recall(combined) > intermediate_recall(plain)
-    # nothing collapses below chance
-    for name, report in reports.items():
-        assert report.accuracy > 0.35, name
-
-def run(ctx):
-    """Bench protocol (repro.bench): skew-handling knob ablation."""
-    return {name: {"accuracy": float(report.accuracy),
-                   "intermediate_recall":
-                       float(intermediate_recall(report))}
-            for name, report in _run(ctx.dataset).items()}

@@ -11,55 +11,37 @@ asserts the two headline contrasts:
   measurement finds weak dependence.
 """
 
-from repro.analysis.opinion_gap import misjudged_practices, opinion_gaps
+from repro.analysis.opinion_gap import opinion_gaps
 from repro.synthesis.survey import synthesize_survey
-from repro.util.tables import render_table
 
 
-def _run(dataset):
-    responses = synthesize_survey(seed=7)
-    return opinion_gaps(dataset, responses, run_qed=True)
-
-
-def test_extension_opinion_vs_measurement(benchmark, dataset, large_scale):
-    gaps = benchmark.pedantic(_run, args=(dataset,), rounds=1, iterations=1)
-
-    rows = [
-        [gap.practice, f"{gap.mean_opinion:.2f}",
-         f"{gap.mi_rank}/{gap.n_metrics}", gap.causal_verdict,
-         "MISJUDGED" if gap.misjudged else ""]
-        for gap in sorted(gaps, key=lambda g: g.mi_rank)
-    ]
-    print()
-    print(render_table(
-        ["survey practice", "mean opinion (0-3)", "MI rank", "QED (1:2)",
-         "gap"],
-        rows, title="Operator opinion vs measured impact",
-    ))
-
-    by_practice = {gap.practice: gap for gap in gaps}
-
-    acl = by_practice["frac_events_acl_change"]
-    mbox = by_practice["frac_events_mbox_change"]
-
-    # operators believe ACL changes are benign and middlebox changes risky
-    assert acl.mean_opinion < mbox.mean_opinion
-    # measurement inverts that: ACL fraction is more dependent with health
-    assert acl.mi_rank < mbox.mi_rank
-    if large_scale:
+def run(ctx):
+    """Survey opinion, MI rank and 1:2 QED verdict per surveyed practice."""
+    gaps = opinion_gaps(ctx.dataset, synthesize_survey(seed=7), run_qed=True)
+    if ctx.large_scale:
+        by_practice = {gap.practice: gap for gap in gaps}
+        acl = by_practice["frac_events_acl_change"]
+        mbox = by_practice["frac_events_mbox_change"]
         # ... and causal at scale (the abstract's headline)
         assert acl.causal_verdict == "causal"
         assert acl.misjudged or acl.operators_think_high is False
         # middlebox fraction is not a top-third practice
         assert not mbox.measured_high or mbox.causal_verdict != "causal"
-
-    # at least one practice is misjudged in some direction
-    assert misjudged_practices(gaps)
-
-def run(ctx):
-    """Bench protocol (repro.bench): opinion-vs-measurement gaps."""
     return {gap.practice: {"mean_opinion": float(gap.mean_opinion),
                            "mi_rank": int(gap.mi_rank),
                            "causal_verdict": gap.causal_verdict,
                            "misjudged": bool(gap.misjudged)}
-            for gap in _run(ctx.dataset)}
+            for gap in gaps}
+
+
+def claims(result):
+    acl = result["frac_events_acl_change"]
+    mbox = result["frac_events_mbox_change"]
+    return {
+        "abstract: operators rate ACL changes below middlebox changes":
+            acl["mean_opinion"] < mbox["mean_opinion"],
+        "abstract: measured MI ranks ACL fraction above middlebox "
+        "fraction": acl["mi_rank"] < mbox["mi_rank"],
+        "abstract: at least one practice is misjudged by operators": any(
+            gap["misjudged"] for gap in result.values()),
+    }

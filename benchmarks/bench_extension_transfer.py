@@ -12,42 +12,30 @@ from repro.analysis.transfer import evaluate_transfer
 from repro.core.prediction import TWO_CLASS
 from repro.metrics.dataset import build_dataset
 from repro.synthesis.organization import OrganizationSynthesizer, SynthesisSpec
-from repro.util.tables import render_table
 
 
-def _run(source):
+def run(ctx):
+    """Source CV accuracy vs accuracy on a different organization."""
     target = build_dataset(OrganizationSynthesizer(
         SynthesisSpec(n_networks=60, n_months=6, seed=4242)
     ).build())
-    return evaluate_transfer(source, target, TWO_CLASS, "dt")
-
-
-def test_extension_cross_org_transfer(benchmark, dataset):
-    result = benchmark.pedantic(_run, args=(dataset,), rounds=1,
-                                iterations=1)
-
-    print()
-    print(render_table(
-        ["measure", "accuracy"],
-        [["source (5-fold CV)", f"{result.source_cv_accuracy:.3f}"],
-         ["target (transferred)", f"{result.target_accuracy:.3f}"],
-         ["target majority baseline", f"{result.target_majority_accuracy:.3f}"],
-         ["transfer gap", f"{result.transfer_gap:+.3f}"]],
-        title="Extension: cross-organization model transfer (2-class DT)",
-    ))
-
-    # a same-world sibling org: the model transfers usefully ...
-    assert result.transfers_usefully
-    # ... but not perfectly (bin edges and practice mixes shift)
-    assert result.target_accuracy <= result.source_cv_accuracy + 0.05
-
-def run(ctx):
-    """Bench protocol (repro.bench): cross-organization transfer."""
-    result = _run(ctx.dataset)
+    result = evaluate_transfer(ctx.dataset, target, TWO_CLASS, "dt")
     return {
         "source_cv_accuracy": float(result.source_cv_accuracy),
         "target_accuracy": float(result.target_accuracy),
         "target_majority_accuracy":
             float(result.target_majority_accuracy),
         "transfer_gap": float(result.transfer_gap),
+    }
+
+
+def claims(result):
+    return {
+        # a same-world sibling org: the model transfers usefully ...
+        "§7: transferred model beats the target's majority baseline":
+            result["target_accuracy"] > result["target_majority_accuracy"],
+        # ... but not perfectly (bin edges and practice mixes shift)
+        "§7: transfer costs accuracy (target <= source CV + 0.05)":
+            result["target_accuracy"]
+            <= result["source_cv_accuracy"] + 0.05,
     }

@@ -12,57 +12,36 @@ from repro.synthesis.survey import (
     synthesize_survey,
     tally,
 )
-from repro.reporting.figures import ascii_histogram
 from repro.types import OPINION_LEVELS
 
 
-def _run():
-    responses = synthesize_survey(seed=7)
-    return tally(responses)
-
-
-def test_fig02_operator_survey(benchmark):
-    table = benchmark(_run)
-
-    print()
-    for practice in SURVEYED_PRACTICES:
-        counts = table[practice]
-        print(ascii_histogram(
-            list(OPINION_LEVELS),
-            [counts[level] for level in OPINION_LEVELS],
-            title=f"Figure 2 — {practice}",
-        ))
-        print()
-
-    # consensus clearest on number of change events: the highest
-    # high-impact count of all surveyed practices, and a clear majority
-    events = table["no_of_change_events"]
-    assert events["high_impact"] > 51 // 2
-    for practice in SURVEYED_PRACTICES:
-        if practice == "no_of_change_events":
-            continue
-        assert table[practice]["high_impact"] <= events["high_impact"], practice
-
-    # diversity: low vs high roughly comparable for size/models/complexity
-    for practice in ("no_of_devices", "no_of_models",
-                     "inter_device_complexity"):
-        low = table[practice]["low_impact"]
-        high = table[practice]["high_impact"]
-        assert abs(low - high) < 15, practice
-
-    # ACL changes believed low impact; middlebox changes believed high
-    assert (table["frac_events_acl_change"]["low_impact"]
-            > table["frac_events_acl_change"]["high_impact"])
-    assert (table["frac_events_mbox_change"]["high_impact"]
-            > table["frac_events_mbox_change"]["low_impact"])
-
-    # some operators are unsure
-    unsure = sum(table[p]["not_sure"] for p in SURVEYED_PRACTICES)
-    assert unsure > 0
-
 def run(ctx):
-    """Bench protocol (repro.bench): Figure 2 survey tallies."""
-    table = _run()
+    """Figure 2 survey tallies: responses per opinion level per practice."""
     return {practice: {level: int(counts[level])
                        for level in OPINION_LEVELS}
-            for practice, counts in table.items()}
+            for practice, counts in tally(synthesize_survey(seed=7)).items()}
+
+
+def claims(result):
+    events = result["no_of_change_events"]
+    acl = result["frac_events_acl_change"]
+    mbox = result["frac_events_mbox_change"]
+    return {
+        # consensus clearest on number of change events: a clear
+        # majority, and the highest high-impact count of all practices
+        "Fig. 2: a majority rates change events high impact":
+            events["high_impact"] > 51 // 2,
+        "Fig. 2: change events draw the most high-impact votes": all(
+            result[p]["high_impact"] <= events["high_impact"]
+            for p in SURVEYED_PRACTICES if p != "no_of_change_events"),
+        "Fig. 2: size/models/complexity split low vs high (< 15 apart)":
+            all(abs(result[p]["low_impact"] - result[p]["high_impact"]) < 15
+                for p in ("no_of_devices", "no_of_models",
+                          "inter_device_complexity")),
+        "Fig. 2: ACL changes believed low impact":
+            acl["low_impact"] > acl["high_impact"],
+        "Fig. 2: middlebox changes believed high impact":
+            mbox["high_impact"] > mbox["low_impact"],
+        "Fig. 2: some operators are unsure": sum(
+            result[p]["not_sure"] for p in SURVEYED_PRACTICES) > 0,
+    }

@@ -8,13 +8,13 @@ with the paper adopting delta = 5.
 import numpy as np
 
 from repro.metrics.events import FIGURE3_DELTAS, group_change_events
-from repro.util.tables import render_table
 from repro.util.timeutils import MINUTES_PER_MONTH
 
 
-def _run(changes):
+def run(ctx):
+    """Change events per network-month for every grouping delta."""
     per_delta: dict = {delta: [] for delta in FIGURE3_DELTAS}
-    for network_id, records in changes.items():
+    for network_id, records in ctx.changes.items():
         if not records:
             continue
         by_month: dict[int, list] = {}
@@ -26,37 +26,26 @@ def _run(changes):
                 per_delta[delta].append(
                     len(group_change_events(month_records, delta))
                 )
-    return per_delta
-
-
-def test_fig03_event_grouping_window(benchmark, changes):
-    per_delta = benchmark.pedantic(_run, args=(changes,), rounds=1,
-                                   iterations=1)
-
-    rows = []
-    medians = []
-    for delta in FIGURE3_DELTAS:
-        counts = np.asarray(per_delta[delta])
-        label = "NA" if delta is None else str(delta)
-        p25, p50, p75 = np.percentile(counts, [25, 50, 75])
-        rows.append([label, f"{p25:.0f}", f"{p50:.0f}", f"{p75:.0f}"])
-        medians.append(p50)
-    print()
-    print(render_table(
-        ["delta (min)", "25th %ile", "median", "75th %ile"], rows,
-        title="Figure 3: change events per network-month vs delta",
-    ))
-
-    # grouping can only merge: median event count is non-increasing in delta
-    assert all(medians[i] >= medians[i + 1] for i in range(len(medians) - 1))
-    # NA (every change its own event) must exceed the delta=5 counts
-    assert np.mean(per_delta[None]) > np.mean(per_delta[5])
-    # and the curve must actually move (events are multi-device)
-    assert np.mean(per_delta[None]) > 1.1 * np.mean(per_delta[30])
-
-def run(ctx):
-    """Bench protocol (repro.bench): event counts per grouping delta."""
-    per_delta = _run(ctx.changes)
-    return {"NA" if delta is None else str(delta):
-            [int(count) for count in counts]
+    return {_label(delta): [int(count) for count in counts]
             for delta, counts in per_delta.items()}
+
+
+def _label(delta):
+    return "NA" if delta is None else str(delta)
+
+
+def claims(result):
+    medians = [np.percentile(result[_label(delta)], 50)
+               for delta in FIGURE3_DELTAS]
+    ungrouped = np.mean(result["NA"])
+    return {
+        # grouping can only merge
+        "Fig. 3: median events per network-month fall as delta grows":
+            all(medians[i] >= medians[i + 1]
+                for i in range(len(medians) - 1)),
+        "Fig. 3: no grouping (NA) yields more events than delta=5":
+            ungrouped > np.mean(result["5"]),
+        # the curve must actually move (events are multi-device)
+        "Fig. 3: NA exceeds delta=30 by > 10%":
+            ungrouped > 1.1 * np.mean(result["30"]),
+    }

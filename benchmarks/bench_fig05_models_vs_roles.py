@@ -5,39 +5,24 @@ more models (which is why causal analysis must account for confounding
 between practices).
 """
 
-from repro.reporting.figures import relationship_figure
 from repro.util.stats import pearson_correlation
 
 
-def _run(dataset):
-    roles = dataset.column("n_roles")
-    models = dataset.column("n_models")
-    groups = {}
-    for r in sorted(set(int(v) for v in roles)):
-        groups[r] = models[roles == r]
+def run(ctx):
+    """Pearson correlation and mean model count per role count."""
+    roles = ctx.dataset.column("n_roles")
+    models = ctx.dataset.column("n_models")
+    groups = {r: models[roles == r]
+              for r in sorted(set(int(v) for v in roles))}
     corr = pearson_correlation(roles.tolist(), models.tolist())
-    return groups, corr
-
-
-def test_fig05_models_vs_roles(benchmark, dataset):
-    groups, corr = benchmark.pedantic(_run, args=(dataset,), rounds=1,
-                                      iterations=1)
-
-    print()
-    print(relationship_figure(
-        "n_roles", [f"{r} roles" for r in groups],
-        [g.tolist() for g in groups.values()], y_label="# of models",
-    ))
-    print(f"  Pearson corr(models, roles) = {corr:.2f}")
-
-    assert corr > 0.3
     means = [g.mean() for g in groups.values() if len(g) >= 5]
     assert means[-1] > means[0]
-
-def run(ctx):
-    """Bench protocol (repro.bench): models-vs-roles dependence."""
-    groups, corr = _run(ctx.dataset)
     return {"corr": float(corr),
             "mean_models_by_roles": {str(r): float(g.mean())
                                      for r, g in groups.items()
                                      if len(g)}}
+
+
+def claims(result):
+    return {"Fig. 5: models and roles correlate (Pearson > 0.3)":
+            result["corr"] > 0.3}

@@ -3,12 +3,14 @@
 Paper shape: both show a strong, visually obvious positive dependence.
 """
 
-from repro.reporting.figures import relationship_figure
 from repro.util.binning import equal_width_bins
 from repro.util.stats import pearson_correlation
 
 
-def _run(dataset):
+def run(ctx):
+    """Correlation with tickets and per-bin mean tickets for the top two
+    MI practices."""
+    dataset = ctx.dataset
     out = {}
     for metric in ("n_devices", "n_change_events"):
         column = dataset.column(metric)
@@ -17,32 +19,14 @@ def _run(dataset):
         groups = [dataset.tickets[assignments == b] for b in range(5)]
         corr = pearson_correlation(column.tolist(),
                                    dataset.tickets.tolist())
-        out[metric] = (groups, corr)
+        populated = [g.mean() for g in groups if len(g) >= 5]
+        assert populated[-1] > 1.3 * populated[0], metric
+        out[metric] = {"corr": float(corr),
+                       "bin_mean_tickets": [float(g.mean()) if len(g)
+                                            else None for g in groups]}
     return out
 
 
-def test_fig06_top_practices_vs_tickets(benchmark, dataset):
-    results = benchmark.pedantic(_run, args=(dataset,), rounds=1,
-                                 iterations=1)
-
-    print()
-    for metric, (groups, corr) in results.items():
-        print(relationship_figure(
-            metric, [f"bin {i + 1}" for i in range(5)],
-            [g.tolist() for g in groups],
-        ))
-        print(f"  corr with tickets: {corr:.2f}")
-        print()
-
-    for metric, (groups, corr) in results.items():
-        assert corr > 0.25, metric
-        populated = [g.mean() for g in groups if len(g) >= 5]
-        assert populated[-1] > 1.3 * populated[0], metric
-
-def run(ctx):
-    """Bench protocol (repro.bench): tickets vs the top-two practices."""
-    results = _run(ctx.dataset)
-    return {metric: {"corr": float(corr),
-                     "bin_mean_tickets": [float(g.mean()) if len(g)
-                                          else None for g in groups]}
-            for metric, (groups, corr) in results.items()}
+def claims(result):
+    return {"Fig. 6: devices and change events correlate with tickets "
+            "(> 0.25)": all(row["corr"] > 0.25 for row in result.values())}

@@ -13,12 +13,13 @@ from repro.analysis.qed.experiment import (
 from repro.analysis.qed.matching import nearest_neighbor_match
 from repro.analysis.qed.propensity import propensity_scores
 from repro.analysis.qed.treatment import TreatmentBinning
-from repro.reporting.figures import ascii_cdf
 
 TREATMENT = "n_change_events"
 
 
-def _run(dataset):
+def run(ctx):
+    """Matched treated vs untreated confounder medians (devices, VLANs)."""
+    dataset = ctx.dataset
     names, confounders = build_confounders(dataset, TREATMENT)
     binning = TreatmentBinning.fit(TREATMENT, dataset.column(TREATMENT), 5)
     point = binning.comparison_points()[0]
@@ -30,32 +31,6 @@ def _run(dataset):
         return np.log(clipped / (1 - clipped))
     pairs = nearest_neighbor_match(logit(s_u), logit(s_t),
                                    untreated_idx, treated_idx)
-    return names, confounders, pairs
-
-
-def test_fig07_confounder_balance(benchmark, dataset):
-    names, confounders, pairs = benchmark.pedantic(
-        _run, args=(dataset,), rounds=1, iterations=1,
-    )
-
-    print()
-    for metric in ("n_devices", "n_vlans"):
-        j = names.index(metric)
-        treated_values = np.expm1(confounders[pairs.treated_indices, j])
-        untreated_values = np.expm1(confounders[pairs.untreated_indices, j])
-        print(ascii_cdf(treated_values,
-                        title=f"Figure 7 — {metric}, matched TREATED"))
-        print(ascii_cdf(untreated_values,
-                        title=f"Figure 7 — {metric}, matched UNTREATED"))
-        print()
-        # visual equivalence, numerically: medians within 35%
-        med_t = np.median(treated_values)
-        med_u = np.median(untreated_values)
-        assert abs(med_t - med_u) <= 0.35 * max(med_t, med_u, 1.0), metric
-
-def run(ctx):
-    """Bench protocol (repro.bench): matched-confounder balance medians."""
-    names, confounders, pairs = _run(ctx.dataset)
     out = {"n_pairs": int(pairs.n_pairs)}
     for metric in ("n_devices", "n_vlans"):
         j = names.index(metric)
@@ -64,3 +39,12 @@ def run(ctx):
         out[metric] = {"median_treated": float(np.median(treated)),
                        "median_untreated": float(np.median(untreated))}
     return out
+
+
+def claims(result):
+    def balanced(row):
+        med_t, med_u = row["median_treated"], row["median_untreated"]
+        return abs(med_t - med_u) <= 0.35 * max(med_t, med_u, 1.0)
+    # visual equivalence, numerically: medians within 35%
+    return {"Fig. 7: matched devices/VLANs medians within 35%": all(
+        balanced(result[metric]) for metric in ("n_devices", "n_vlans"))}

@@ -8,40 +8,27 @@ with the poor class down at ~2.3% — the skew that motivates oversampling.
 import numpy as np
 
 from repro.core.prediction import FIVE_CLASS, TWO_CLASS, health_classes
-from repro.reporting.figures import ascii_histogram
 
-
-def _run(dataset):
-    y2 = health_classes(dataset.tickets, TWO_CLASS)
-    y5 = health_classes(dataset.tickets, FIVE_CLASS)
-    return (np.bincount(y2, minlength=2), np.bincount(y5, minlength=5))
-
-
-def test_fig09_class_distribution(benchmark, dataset):
-    counts2, counts5 = benchmark.pedantic(_run, args=(dataset,), rounds=1,
-                                          iterations=1)
-
-    print()
-    print(ascii_histogram(list(TWO_CLASS.labels), counts2.tolist(),
-                          title="Figure 9(a): 2-class distribution"))
-    print()
-    print(ascii_histogram(list(FIVE_CLASS.labels), counts5.tolist(),
-                          title="Figure 9(b): 5-class distribution"))
-
-    total = counts2.sum()
-    healthy_share = counts2[0] / total
-    assert 0.55 < healthy_share < 0.75          # paper: 0.648
-
-    excellent_share = counts5[0] / total
-    assert 0.65 < excellent_share < 0.85        # paper: ~0.73
-    # strictly decreasing through the middle classes
-    assert counts5[0] > counts5[1] > counts5[2] > counts5[3]
-    # the poor/very-poor tail is small but non-empty
-    assert 0 < counts5[3] / total < 0.08        # paper: 0.023
-    assert counts5[4] > 0
 
 def run(ctx):
-    """Bench protocol (repro.bench): health-class distributions."""
-    counts2, counts5 = _run(ctx.dataset)
-    return {"two_class": counts2.tolist(),
-            "five_class": counts5.tolist()}
+    """Case counts per health class, 2-class and 5-class schemes."""
+    y2 = health_classes(ctx.dataset.tickets, TWO_CLASS)
+    y5 = health_classes(ctx.dataset.tickets, FIVE_CLASS)
+    return {"two_class": np.bincount(y2, minlength=2).tolist(),
+            "five_class": np.bincount(y5, minlength=5).tolist()}
+
+
+def claims(result):
+    counts2, counts5 = result["two_class"], result["five_class"]
+    total = sum(counts2)
+    return {
+        "Fig. 9(a): healthy share in (0.55, 0.75) (paper 0.648)":
+            0.55 < counts2[0] / total < 0.75,
+        "Fig. 9(b): excellent share in (0.65, 0.85) (paper ~0.73)":
+            0.65 < counts5[0] / total < 0.85,
+        "Fig. 9(b): class counts fall through the middle classes":
+            counts5[0] > counts5[1] > counts5[2] > counts5[3],
+        "Fig. 9(b): poor share in (0, 0.08) (paper 0.023)":
+            0 < counts5[3] / total < 0.08,
+        "Fig. 9(b): the very-poor class is non-empty": counts5[4] > 0,
+    }

@@ -14,76 +14,28 @@ from repro.core.characterize import (
     automation_by_type,
     characterize_operational,
 )
-from repro.reporting.figures import ascii_cdf
 from repro.synthesis.organization import SCALES
 
 
-def test_fig12_operational_characterization(benchmark, dataset, changes,
-                                            workspace):
-    n_months = SCALES[workspace.scale].n_months
-    chars = benchmark.pedantic(
-        characterize_operational, args=(dataset, changes, n_months),
-        rounds=1, iterations=1,
-    )
+def run(ctx):
+    """Operational-practice summary: correlations, churn medians, change
+    type mix and automation rate per change type."""
+    n_months = SCALES[ctx.scale].n_months
+    chars = characterize_operational(ctx.dataset, ctx.changes, n_months)
 
-    print()
-    print("Fig 12(a): corr(network size, changes/month) = "
-          f"{chars.size_change_correlation:.2f}")
-    print(ascii_cdf(chars.frac_devices_changed_month,
-                    title="Fig 12(b): frac devices changed per month"))
-    print(ascii_cdf(chars.frac_devices_changed_year,
-                    title="Fig 12(b): frac devices changed per year"))
-    for stype, fractions in chars.type_fractions.items():
-        print(ascii_cdf(fractions,
-                        title=f"Fig 12(c): frac changes touching {stype}"))
-    print(ascii_cdf(chars.frac_changes_automated,
-                    title="Fig 12(d): frac changes automated"))
-    print("Fig 12(d): corr(automation, change volume) = "
-          f"{chars.automation_change_correlation:.2f}")
-    print(ascii_cdf(chars.avg_events_per_month,
-                    title="Fig 12(e): change events per month"))
-    rates = automation_by_type(changes)
-    print("Automation rate by change type:",
-          {k: round(v, 2) for k, v in sorted(rates.items(),
-                                             key=lambda kv: -kv[1])[:6]})
-
-    # (a) change volume tracks size
-    assert chars.size_change_correlation > 0.3
-
-    # (b) monthly churn below yearly churn
-    assert (np.median(chars.frac_devices_changed_month)
-            < np.median(chars.frac_devices_changed_year))
-    assert np.median(chars.frac_devices_changed_year) > 0.5
-
-    # (c) interface changes are the most common type for the median network
-    medians = {stype: np.median(fracs)
-               for stype, fracs in chars.type_fractions.items()}
-    assert medians["interface"] == max(medians.values())
-    # router changes rare for the median network but notable in a few
-    # (paper: ~5% of changes for the median network, > 0.5 in ~5% of
+    # (b) router changes rare for the median network but notable in a
+    # few (paper: ~5% of changes for the median network, > 0.5 in ~5% of
     # networks — our per-change router fractions are diluted by sweep
     # events touching many non-router devices, so the tail sits lower)
-    assert medians["router"] < 0.35
     router = chars.type_fractions["router"]
-    assert (router > 3 * max(medians["router"], 0.02)).mean() > 0.0
-
-    # (d) automation diverse, weakly tied to volume
+    assert (router > 3 * max(np.median(router), 0.02)).mean() > 0.0
+    # (d) automation levels are diverse
     assert np.percentile(chars.frac_changes_automated, 90) > 0.5
     assert np.percentile(chars.frac_changes_automated, 10) < 0.4
-    assert abs(chars.automation_change_correlation) < 0.5
-
-    # sflow/qos/pool among the most automated types (paper A.2)
-    automated_ranked = sorted(rates, key=rates.get, reverse=True)
-    assert set(automated_ranked[:6]) & {"sflow", "qos", "pool"}
-
     # (e) events long-tailed
     events = chars.avg_events_per_month
     assert np.percentile(events, 90) > 3 * max(np.percentile(events, 10), 0.5)
 
-def run(ctx):
-    """Bench protocol (repro.bench): operational-practice summary."""
-    n_months = SCALES[ctx.scale].n_months
-    chars = characterize_operational(ctx.dataset, ctx.changes, n_months)
     return {
         "size_change_correlation": float(chars.size_change_correlation),
         "automation_change_correlation":
@@ -98,4 +50,27 @@ def run(ctx):
         "automation_by_type": {
             stype: float(rate)
             for stype, rate in automation_by_type(ctx.changes).items()},
+    }
+
+
+def claims(result):
+    medians = result["median_type_fractions"]
+    rates = result["automation_by_type"]
+    automated_ranked = sorted(rates, key=rates.get, reverse=True)
+    return {
+        "Fig. 12(a): change volume tracks network size (corr > 0.3)":
+            result["size_change_correlation"] > 0.3,
+        "Fig. 12(b): monthly device churn below yearly churn":
+            result["median_frac_devices_changed_month"]
+            < result["median_frac_devices_changed_year"],
+        "Fig. 12(b): most devices change within a year":
+            result["median_frac_devices_changed_year"] > 0.5,
+        "Fig. 12(c): interface changes are the most common type":
+            medians["interface"] == max(medians.values()),
+        "Fig. 12(c): router changes rare for the median network":
+            medians["router"] < 0.35,
+        "Fig. 12(d): automation only weakly tied to change volume":
+            abs(result["automation_change_correlation"]) < 0.5,
+        "App. A.2: sflow/qos/pool among the six most automated types":
+            bool(set(automated_ranked[:6]) & {"sflow", "qos", "pool"}),
     }

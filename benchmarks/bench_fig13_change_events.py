@@ -8,22 +8,13 @@ touching a middlebox varies widely across networks.
 import numpy as np
 
 from repro.core.characterize import characterize_operational
-from repro.reporting.figures import ascii_cdf
 from repro.synthesis.organization import SCALES
 
 
-def test_fig13_change_events(benchmark, dataset, changes, workspace):
-    n_months = SCALES[workspace.scale].n_months
-    chars = benchmark.pedantic(
-        characterize_operational, args=(dataset, changes, n_months),
-        rounds=1, iterations=1,
-    )
-
-    print()
-    print(ascii_cdf(chars.mean_devices_per_event,
-                    title="Fig 13(a): mean devices changed per event"))
-    print(ascii_cdf(chars.frac_events_mbox,
-                    title="Fig 13(b): frac events touching a middlebox"))
+def run(ctx):
+    """10th/50th/90th percentiles of event size and middlebox share."""
+    n_months = SCALES[ctx.scale].n_months
+    chars = characterize_operational(ctx.dataset, ctx.changes, n_months)
 
     dpe = chars.mean_devices_per_event[chars.mean_devices_per_event > 0]
     # (a) typical events are small ...
@@ -31,17 +22,15 @@ def test_fig13_change_events(benchmark, dataset, changes, workspace):
     # ... with a real tail (network-wide sweeps)
     assert dpe.max() > 2 * np.median(dpe)
 
-    # (b) middlebox-event fraction is diverse
-    mbox = chars.frac_events_mbox
-    assert np.percentile(mbox, 90) - np.percentile(mbox, 10) > 0.2
-
-def run(ctx):
-    """Bench protocol (repro.bench): change-event size/middlebox spread."""
-    n_months = SCALES[ctx.scale].n_months
-    chars = characterize_operational(ctx.dataset, ctx.changes, n_months)
     return {
         "mean_devices_per_event": [float(q) for q in np.percentile(
             chars.mean_devices_per_event, (10, 50, 90))],
         "frac_events_mbox": [float(q) for q in np.percentile(
             chars.frac_events_mbox, (10, 50, 90))],
     }
+
+
+def claims(result):
+    p10, _p50, p90 = result["frac_events_mbox"]
+    return {"Fig. 13(b): middlebox-event fraction is diverse (p90 - p10 "
+            "> 0.2)": p90 - p10 > 0.2}

@@ -30,24 +30,8 @@ BENCH_SPEC = SynthesisSpec(n_networks=6, n_months=4, seed=13)
 BATCH_SIZE = 32
 
 
-def test_ingest_stream_and_resume_paths(tmp_path):
-    base, payloads = chaos_events(OrganizationSynthesizer(BENCH_SPEC).build())
-    ing = StreamIngester.create(tmp_path / "state", base,
-                                batch_size=BATCH_SIZE)
-    result = ing.ingest(payloads)
-    assert result.applied == len(payloads)
-    assert result.dead_letters == 0
-
-    reopened = StreamIngester(tmp_path / "state")
-    assert not reopened._needs_rebuild()
-    assert reopened.resume().batches == 0
-
-    print()
-    print(TELEMETRY.summary())
-
-
 def run(ctx):
-    """Bench protocol (repro.bench): throughput + recovery latency."""
+    """Digests and counts of an ingest, a clean resume and a crash resume."""
     base, payloads = chaos_events(OrganizationSynthesizer(BENCH_SPEC).build())
     root = ctx.tmp_dir()
 
@@ -58,6 +42,7 @@ def run(ctx):
         result = ing.ingest(payloads)
         t_ingest = time.perf_counter() - started
         assert result.applied == len(payloads)
+        assert not StreamIngester(root / "state")._needs_rebuild()
 
         started = time.perf_counter()
         clean = StreamIngester(root / "state")
@@ -99,3 +84,8 @@ def run(ctx):
         "dataset_sha256": result.dataset_digest,
         "crash_resume_batches": int(crash_resume.batches),
     }
+
+
+def claims(result):
+    return {"streaming ingest: a clean arrival stream dead-letters nothing":
+            result["dead_letters"] == 0}

@@ -23,28 +23,54 @@ from repro.metrics.dataset import build_full
 from repro.runtime.telemetry import TELEMETRY
 
 
-def test_runtime_smoke_parallel_tiny_build(tmp_path, monkeypatch):
-    monkeypatch.setenv("MPA_JOBS", "2")
-    parallel_ws = Workspace(scale="tiny", seed=7,
-                            cache_dir=tmp_path / "parallel")
-    parallel_ws.ensure()
-    parallel = parallel_ws.dataset()
+def run(ctx):
+    """Parallel-vs-serial tiny build plus two +1-month incremental
+    rebuilds: one in a scratch cache, one timed on the session workspace.
 
-    monkeypatch.setenv("MPA_JOBS", "1")
-    serial_ws = Workspace(scale="tiny", seed=7, cache_dir=tmp_path / "serial")
-    serial_ws.ensure()
-    serial = serial_ws.dataset()
+    The tiny builds run under fresh scratch caches and ``MPA_JOBS`` is
+    restored via ``ctx.env``. The timed rebuild extends the session
+    corpus through the session stage cache, which only adds units to it.
+    """
+    import hashlib
 
+    base = ctx.tmp_dir()
+    with ctx.env(MPA_JOBS="2"):
+        parallel_ws = Workspace(scale="tiny", seed=7,
+                                cache_dir=base / "parallel")
+        parallel_ws.ensure()
+        parallel = parallel_ws.dataset()
+    with ctx.env(MPA_JOBS="1"):
+        serial_ws = Workspace(scale="tiny", seed=7,
+                              cache_dir=base / "serial")
+        serial_ws.ensure()
+        serial = serial_ws.dataset()
     assert parallel.n_cases == serial.n_cases > 0
     assert parallel.names == serial.names
     assert np.array_equal(parallel.values, serial.values)
     assert np.array_equal(parallel.tickets, serial.tickets)
 
-    print()
-    print(TELEMETRY.summary())
+    # incremental rebuild through the scratch stage cache
+    corpus = parallel_ws.corpus()
+    cache = parallel_ws.stage_cache()
+    build_full(corpus, cache=cache)
+    extended_corpus = corpus.extend_months(1)
+    incremental = build_full(extended_corpus, cache=cache)
+    cold = build_full(extended_corpus)
+    assert np.array_equal(incremental.dataset.values,
+                          cold.dataset.values)
+    assert incremental.quality.to_dict() == cold.quality.to_dict()
+
+    _check_session_rebuild_speedup(ctx.workspace)
+
+    values_sha = hashlib.sha256(
+        np.ascontiguousarray(parallel.values).tobytes()).hexdigest()
+    return {"n_cases": int(parallel.n_cases),
+            "n_metrics": len(parallel.names),
+            "values_sha256": values_sha,
+            "extended_cases": int(incremental.dataset.n_cases)}
 
 
-def test_runtime_incremental_rebuild_speedup(workspace):
+def _check_session_rebuild_speedup(workspace):
     """+1-month extension: cold full rebuild vs. stage-cached rebuild.
 
     The staged engine's contract: after an extend, the incremental
@@ -84,52 +110,12 @@ def test_runtime_incremental_rebuild_speedup(workspace):
         f"incremental {t_incremental:.2f}s, +1 month at "
         f"{workspace.scale})",
     )
-    print()
-    print(TELEMETRY.summary())
     # conservative floor (acceptance target is ~5x at small scale; keep
     # slack for loaded CI machines)
     assert speedup >= 2.0
 
-def run(ctx):
-    """Bench protocol (repro.bench): the CI smoke subset.
 
-    Parallel-vs-serial tiny build (bit-identical datasets) plus the
-    staged engine's +1-month incremental rebuild, all under fresh
-    scratch caches so in-process repeats stay independent: the shared
-    session cache is never touched and ``MPA_JOBS`` is restored via
-    ``ctx.env`` (global state leaks here would show up as
-    nondeterministic output checksums and fail the run).
-    """
-    import hashlib
-
-    base = ctx.tmp_dir()
-    with ctx.env(MPA_JOBS="2"):
-        parallel_ws = Workspace(scale="tiny", seed=7,
-                                cache_dir=base / "parallel")
-        parallel_ws.ensure()
-        parallel = parallel_ws.dataset()
-    with ctx.env(MPA_JOBS="1"):
-        serial_ws = Workspace(scale="tiny", seed=7,
-                              cache_dir=base / "serial")
-        serial_ws.ensure()
-        serial = serial_ws.dataset()
-    assert np.array_equal(parallel.values, serial.values)
-    assert np.array_equal(parallel.tickets, serial.tickets)
-
-    # incremental rebuild through the scratch stage cache
-    corpus = parallel_ws.corpus()
-    cache = parallel_ws.stage_cache()
-    build_full(corpus, cache=cache)
-    extended_corpus = corpus.extend_months(1)
-    incremental = build_full(extended_corpus, cache=cache)
-    cold = build_full(extended_corpus)
-    assert np.array_equal(incremental.dataset.values,
-                          cold.dataset.values)
-    assert incremental.quality.to_dict() == cold.quality.to_dict()
-
-    values_sha = hashlib.sha256(
-        np.ascontiguousarray(parallel.values).tobytes()).hexdigest()
-    return {"n_cases": int(parallel.n_cases),
-            "n_metrics": len(parallel.names),
-            "values_sha256": values_sha,
-            "extended_cases": int(incremental.dataset.n_cases)}
+def claims(result):
+    # every check here needs values run() does not return (the serial
+    # build, wall times), so they are asserts inside run()
+    return {}

@@ -8,32 +8,12 @@ correct sign, and no planted-null practice survives significance.
 """
 
 from repro.analysis.selfcheck import run_selfcheck
-from repro.reporting.tables import (
-    format_invariant_table,
-    format_scorecard_table,
-)
 
-
-def test_selfcheck_harness(benchmark, dataset):
-    report = benchmark.pedantic(
-        lambda: run_selfcheck(dataset, seed=0), rounds=1, iterations=1
-    )
-
-    print()
-    print(format_invariant_table(report.invariants))
-    print()
-    print(format_scorecard_table(report.scorecard))
-
-    assert report.n_invariant_failures == 0
-    card = report.scorecard
-    assert card.missed == []
-    assert card.n_recovered == card.n_planted
-    assert card.n_spurious == 0
-    assert report.passed
 
 def run(ctx):
-    """Bench protocol (repro.bench): invariants + scorecard verdicts."""
+    """Invariant verdicts and planted-truth scorecard counts."""
     report = run_selfcheck(ctx.dataset, seed=0)
+    assert report.scorecard.missed == []
     return {
         "n_invariant_failures": int(report.n_invariant_failures),
         "invariants": {r.name: bool(r.passed)
@@ -44,4 +24,17 @@ def run(ctx):
             "n_spurious": int(report.scorecard.n_spurious),
         },
         "passed": bool(report.passed),
+    }
+
+
+def claims(result):
+    card = result["scorecard"]
+    return {
+        "selfcheck: every estimator invariant holds":
+            result["n_invariant_failures"] == 0,
+        "selfcheck: every planted causal practice is recovered":
+            card["n_recovered"] == card["n_planted"],
+        "selfcheck: no planted null survives significance":
+            card["n_spurious"] == 0,
+        "selfcheck: the harness passes": result["passed"],
     }

@@ -104,7 +104,8 @@ def _payload_sha256(body):
 
 
 def run(ctx):
-    """Bench protocol (repro.bench): serve throughput + cache speedup."""
+    """Content digests and request counts of a cache-speedup check and
+    a mixed load against ``mpa serve``."""
     root = ctx.tmp_dir() / "dataset.mpstore"
     manifest = _build_store(root)
     top_url = "/top?k=5"
@@ -167,24 +168,10 @@ def run(ctx):
     }
 
 
-def test_serve_load_smoke(tmp_path):
-    """Pytest spelling of the bench (small and assertion-only)."""
-    result = run(_SmokeCtx(tmp_path))
-    assert result["load_errors"] == 0
-    assert result["top_matches_uncached"] is True
-    print()
-    print(TELEMETRY.summary())
-
-
-class _SmokeCtx:
-    """Just enough of BenchContext for ``run``: a tmp_dir factory."""
-
-    def __init__(self, tmp_path):
-        self._tmp_path = tmp_path
-        self._n = 0
-
-    def tmp_dir(self):
-        self._n += 1
-        path = self._tmp_path / f"bench{self._n}"
-        path.mkdir(parents=True, exist_ok=True)
-        return path
+def claims(result):
+    return {
+        "serve: the mixed load answers every request without error":
+            result["load_errors"] == 0,
+        "serve: a cached /top answer equals the recomputed one":
+            result["top_matches_uncached"] is True,
+    }

@@ -7,30 +7,30 @@ at ``MPA_SCALE=paper``.
 """
 
 from repro.synthesis.organization import SCALES
-from repro.util.tables import render_kv
 
 
-def test_tab02_dataset_summary(benchmark, workspace):
-    summary = benchmark(workspace.summary)
-
-    print()
-    print(render_kv(sorted(summary.items()),
-                    title="Table 2: size of datasets"))
-
-    spec = SCALES[workspace.scale]
+def run(ctx):
+    """The Table 2 size summary of the session corpus."""
+    summary = ctx.workspace.summary()
+    spec = SCALES[ctx.workspace.scale]
     assert summary["months"] == spec.n_months
     assert summary["networks"] == spec.n_networks
     assert summary["services"] >= spec.n_networks * 0.8
-    assert summary["devices"] > 5 * summary["networks"]
-    assert summary["config_snapshots"] > 5 * summary["devices"]
-    assert summary["tickets"] > summary["networks"]
-    if workspace.scale == "paper":
+    if ctx.workspace.scale == "paper":
         assert summary["networks"] >= 850
         assert summary["devices"] >= 5_000
         assert summary["config_snapshots"] >= 100_000
         assert summary["tickets"] >= 10_000
-
-def run(ctx):
-    """Bench protocol (repro.bench): dataset size summary."""
     return {key: value if isinstance(value, str) else int(value)
-            for key, value in ctx.workspace.summary().items()}
+            for key, value in summary.items()}
+
+
+def claims(result):
+    return {
+        "Table 2: O(10) devices per network":
+            result["devices"] > 5 * result["networks"],
+        "Table 2: O(10) config snapshots per device":
+            result["config_snapshots"] > 5 * result["devices"],
+        "Table 2: more tickets than networks":
+            result["tickets"] > result["networks"],
+    }

@@ -8,38 +8,33 @@ despite operator opinion (paper: ranked 23 of 28).
 
 from repro.analysis.dependence import rank_practices_by_mi
 from repro.metrics.catalog import get_metric
-from repro.reporting.tables import format_mi_table
 
 
-def test_tab03_top10_mi(benchmark, dataset, large_scale):
-    results = benchmark.pedantic(rank_practices_by_mi, args=(dataset,),
-                                 rounds=1, iterations=1)
+VOLUME = {"n_change_events", "n_config_changes", "n_devices_changed",
+          "n_change_types", "n_devices"}
 
-    print()
-    print(format_mi_table(results[:10]))
-
-    ranked = [r.practice for r in results]
-    top10 = set(ranked[:10])
-
-    # planted causal volume metrics top the ranking
-    volume = {"n_change_events", "n_config_changes", "n_devices_changed",
-              "n_change_types", "n_devices"}
-    assert len(volume & top10) >= 3
-
-    # both categories represented (paper: 5 design + 5 operational)
-    categories = {get_metric(p).category for p in top10}
-    assert categories == {"design", "operational"}
-
-    # MI magnitudes in a plausible band (paper: 0.198 - 0.388)
-    assert 0.02 < results[0].avg_monthly_mi < 1.0
-
-    if large_scale:
-        # the paper's middlebox surprise needs statistical power
-        assert "frac_events_mbox" not in top10
-        # ranking must be strictly dominated by the volume metrics
-        assert ranked[0] in volume
 
 def run(ctx):
-    """Bench protocol (repro.bench): top-10 MI ranking."""
+    """The top-10 practices by average monthly MI."""
     results = rank_practices_by_mi(ctx.dataset)
+    if ctx.large_scale:
+        ranked = [r.practice for r in results]
+        # the paper's middlebox surprise needs statistical power
+        assert "frac_events_mbox" not in set(ranked[:10])
+        # ranking must be strictly dominated by the volume metrics
+        assert ranked[0] in VOLUME
     return [[r.practice, float(r.avg_monthly_mi)] for r in results[:10]]
+
+
+def claims(result):
+    top10 = {practice for practice, _mi in result}
+    return {
+        # planted causal volume metrics top the ranking
+        "Table 3: >= 3 change-volume metrics in the top 10":
+            len(VOLUME & top10) >= 3,
+        "Table 3: design and operational practices both in the top 10":
+            {get_metric(p).category for p in top10}
+            == {"design", "operational"},
+        "Table 3: top MI in (0.02, 1.0) (paper 0.198-0.388)":
+            0.02 < result[0][1] < 1.0,
+    }

@@ -13,64 +13,39 @@ balance checks and report ``Imbal.`` where the paper reports causality.
 """
 
 from repro.analysis.qed.experiment import run_causal_analysis
-from repro.reporting.tables import format_causal_table
 
 
-def _run(dataset, practices):
-    return [run_causal_analysis(dataset, practice)
-            for practice in practices]
+PLANTED_CAUSAL = ("n_change_events", "n_change_types")
+PLANTED_NON_CAUSAL = ("intra_device_complexity", "frac_events_interface")
 
-
-def test_tab07_causal_low_bins(benchmark, dataset, top10, large_scale):
-    experiments = benchmark.pedantic(_run, args=(dataset, top10), rounds=1,
-                                     iterations=1)
-
-    print()
-    print(format_causal_table(
-        experiments, points=("1:2",),
-        title="Table 7: causal analysis, bins 1:2, top-10 MI practices",
-    ))
-
-    by_practice = {e.practice: e for e in experiments}
-
-    def low_result(practice):
-        if practice not in by_practice:
-            return None
-        try:
-            return by_practice[practice].result_for("1:2")
-        except KeyError:
-            return None
-
-    # planted-causal operational practices: significant at 1:2
-    confirmed = 0
-    for practice in ("n_change_events", "n_change_types"):
-        result = low_result(practice)
-        if result is not None:
-            assert result.sign.n_more_tickets > result.sign.n_fewer_tickets
-            if large_scale:
-                assert result.causal, practice
-            confirmed += 1
-    assert confirmed >= 1
-
-    # planted non-causal practices must NOT be declared causal
-    for practice in ("intra_device_complexity", "frac_events_interface"):
-        result = low_result(practice)
-        if result is not None:
-            assert not (result.causal
-                        and result.sign.direction == "worse"), practice
 
 def run(ctx):
-    """Bench protocol (repro.bench): 1:2 causal verdict per practice."""
+    """The 1:2 verdict, balance and p-value per top-10 MI practice."""
     out = {}
-    for experiment in _run(ctx.dataset, ctx.top10):
+    for practice in ctx.top10:
+        experiment = run_causal_analysis(ctx.dataset, practice)
         try:
             result = experiment.result_for("1:2")
         except KeyError:
             out[experiment.practice] = None
             continue
+        if practice in PLANTED_CAUSAL:
+            # planted-causal operational practices: significant at 1:2
+            assert result.sign.n_more_tickets > result.sign.n_fewer_tickets
+            if ctx.large_scale:
+                assert result.causal, practice
+        if practice in PLANTED_NON_CAUSAL:
+            # planted non-causal practices must NOT be declared causal
+            assert not (result.causal
+                        and result.sign.direction == "worse"), practice
         out[experiment.practice] = {
             "causal": bool(result.causal),
             "imbalanced": bool(result.imbalanced),
             "p_value": float(result.sign.p_value),
         }
     return out
+
+
+def claims(result):
+    return {"Table 7: a planted-causal change practice is tested at 1:2":
+            sum(result.get(p) is not None for p in PLANTED_CAUSAL) >= 1}

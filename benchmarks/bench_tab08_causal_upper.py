@@ -7,57 +7,15 @@ when the treatment is number of devices).
 """
 
 from repro.analysis.qed.experiment import run_causal_analysis
-from repro.reporting.tables import format_causal_table
 
 UPPER_POINTS = ("2:3", "3:4", "4:5")
 
 
-def _run(dataset, practices):
-    return [run_causal_analysis(dataset, practice)
-            for practice in practices]
-
-
-def test_tab08_causal_upper_bins(benchmark, dataset, top10):
-    experiments = benchmark.pedantic(_run, args=(dataset, top10), rounds=1,
-                                     iterations=1)
-
-    print()
-    print(format_causal_table(
-        experiments, points=UPPER_POINTS,
-        title="Table 8: causal analysis, upper bins, top-10 MI practices",
-    ))
-
-    total_cells = 0
-    not_causal_cells = 0
-    for experiment in experiments:
-        for label in UPPER_POINTS:
-            total_cells += 1
-            try:
-                result = experiment.result_for(label)
-            except KeyError:
-                not_causal_cells += 1  # too few cases = no conclusion
-                continue
-            if result.imbalanced or not result.sign.significant:
-                not_causal_cells += 1
-
-    # the paper's headline: upper bins are mostly inconclusive
-    assert total_cells == len(experiments) * len(UPPER_POINTS)
-    assert not_causal_cells >= total_cells * 0.5
-
-    # heavy tails: bin-1 dominates for the count-style practices
-    for experiment in experiments:
-        try:
-            low = experiment.result_for("1:2")
-        except KeyError:
-            continue
-        if experiment.practice == "n_devices":
-            share = low.n_untreated / dataset.n_cases
-            assert share > 0.4
-
 def run(ctx):
-    """Bench protocol (repro.bench): upper-bin verdicts per practice."""
+    """Verdict per (top-10 practice, upper comparison point) cell."""
     cells = {}
-    for experiment in _run(ctx.dataset, ctx.top10):
+    for practice in ctx.top10:
+        experiment = run_causal_analysis(ctx.dataset, practice)
         for label in UPPER_POINTS:
             key = f"{experiment.practice}@{label}"
             try:
@@ -71,4 +29,24 @@ def run(ctx):
                 cells[key] = "causal"
             else:
                 cells[key] = "not significant"
+        # heavy tails: bin-1 dominates for the count-style practices
+        if experiment.practice == "n_devices":
+            try:
+                low = experiment.result_for("1:2")
+            except KeyError:
+                continue
+            share = low.n_untreated / ctx.dataset.n_cases
+            assert share > 0.4
     return cells
+
+
+def claims(result):
+    practices = {key.split("@")[0] for key in result}
+    # skipped (too few cases) and imbalanced cells are no conclusion
+    inconclusive = sum(verdict != "causal" for verdict in result.values())
+    return {
+        "Table 8: every practice has a verdict at every upper point":
+            len(result) == len(practices) * len(UPPER_POINTS),
+        "Table 8: at least half the upper-bin cells are inconclusive":
+            inconclusive >= len(result) * 0.5,
+    }

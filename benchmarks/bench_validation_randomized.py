@@ -20,7 +20,6 @@ from repro.analysis.validation import (
     scale_devices,
     scale_event_rate,
 )
-from repro.util.tables import render_table
 
 EXPERIMENTS = (
     ("3x change events", scale_event_rate(3.0)),
@@ -32,55 +31,44 @@ EXPERIMENTS = (
 )
 
 
-def _run():
-    return [
-        run_randomized_experiment(intervention, name=name,
-                                  n_networks=60, n_months=5, seed=31)
-        for name, intervention in EXPERIMENTS
-    ]
-
-
-def test_randomized_oracle(benchmark):
-    results = benchmark.pedantic(_run, rounds=1, iterations=1)
-
-    rows = [
-        [r.intervention, f"{r.mean_tickets_control:.2f}",
-         f"{r.mean_tickets_treated:.2f}", f"{r.effect:+.2f}",
-         f"{r.p_value:.2e}"]
-        for r in results
-    ]
-    print()
-    print(render_table(
-        ["intervention", "control", "treated", "effect", "p (Wilcoxon)"],
-        rows, title="Paired randomized experiments (oracle for the QED)",
-    ))
-
-    by_name = {r.intervention: r for r in results}
-
-    # planted-causal practices: intervention raises tickets, significantly
-    for name in ("3x change events", "+60 VLANs", "2x devices"):
-        result = by_name[name]
-        assert result.effect > 0, name
-        assert result.p_value < 0.01, name
-
-    # ACL-heavy mixes hurt (the paper's anti-folk-wisdom finding)
-    acl = by_name["ACL-heavy change mix"]
-    assert acl.effect > 0
-
-    # middlebox-heavy mixes do not (paper: low impact despite opinion)
-    mbox = by_name["middlebox-heavy change mix"]
-    assert abs(mbox.effect) < max(0.5, 0.5 * by_name["3x change events"].effect)
-
-    # negative control is exactly null (identical corpora)
-    noop = by_name["no-op (negative control)"]
-    assert noop.effect == 0.0
-    assert noop.p_value == 1.0
-
 def run(ctx):
-    """Bench protocol (repro.bench): randomized-experiment oracle."""
-    return {r.intervention: {
-                "control": float(r.mean_tickets_control),
-                "treated": float(r.mean_tickets_treated),
-                "effect": float(r.effect),
-                "p_value": float(r.p_value),
-            } for r in _run()}
+    """Control/treated mean tickets, effect and p-value per intervention."""
+    out = {}
+    for name, intervention in EXPERIMENTS:
+        r = run_randomized_experiment(intervention, name=name,
+                                      n_networks=60, n_months=5, seed=31)
+        out[r.intervention] = {
+            "control": float(r.mean_tickets_control),
+            "treated": float(r.mean_tickets_treated),
+            "effect": float(r.effect),
+            "p_value": float(r.p_value),
+        }
+    return out
+
+
+PLANTED_CAUSAL = ("3x change events", "+60 VLANs", "2x devices")
+
+
+def claims(result):
+    mbox = result["middlebox-heavy change mix"]
+    noop = result["no-op (negative control)"]
+    return {
+        # planted-causal practices: intervention raises tickets,
+        # significantly
+        "§5.2 oracle: events/VLANs/devices interventions raise tickets":
+            all(result[name]["effect"] > 0 for name in PLANTED_CAUSAL),
+        "§5.2 oracle: those raises are significant (p < 0.01)": all(
+            result[name]["p_value"] < 0.01 for name in PLANTED_CAUSAL),
+        # the paper's anti-folk-wisdom finding
+        "Table 7 oracle: ACL-heavy change mixes raise tickets":
+            result["ACL-heavy change mix"]["effect"] > 0,
+        # paper: low impact despite operator opinion
+        "Fig. 2 oracle: middlebox-heavy change mixes barely move tickets":
+            abs(mbox["effect"])
+            < max(0.5, 0.5 * result["3x change events"]["effect"]),
+        # identical corpora
+        "negative control: the no-op effect is exactly 0":
+            noop["effect"] == 0.0,
+        "negative control: the no-op p-value is exactly 1":
+            noop["p_value"] == 1.0,
+    }

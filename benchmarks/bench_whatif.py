@@ -16,49 +16,21 @@ from repro.analysis.causal import (
     rank_causes,
 )
 from repro.analysis.selfcheck import score_counterfactual_truth
-from repro.reporting.tables import (
-    format_attribution_table,
-    format_counterfactual_scorecard_table,
-)
 
 
-def test_whatif_planted_truth(benchmark, dataset):
-    card = benchmark.pedantic(
-        lambda: score_counterfactual_truth(dataset), rounds=1, iterations=1
-    )
-
-    print()
-    print(format_counterfactual_scorecard_table(card))
-
-    assert card.n_planted > 0
+def run(ctx):
+    """Counterfactual scorecard plus the worst network's top-5 causes."""
+    card = score_counterfactual_truth(ctx.dataset)
     assert len(card.missed) <= card.max_missed
-    assert card.n_false_alarms == 0
-    assert card.passed
-
-
-def test_whatif_worst_network_attribution(dataset):
-    worst = pick_worst_network(dataset)
-    window = detect_surge(dataset, worst)
-    report = rank_causes(dataset, worst, months=list(window.months),
+    worst = pick_worst_network(ctx.dataset)
+    window = detect_surge(ctx.dataset, worst)
+    report = rank_causes(ctx.dataset, worst, months=list(window.months),
                          candidates=planted_candidates())
-
-    print()
-    print(format_attribution_table(report, limit=5))
-
     assert report.window.network_id == worst
     assert len(report.scores) == len(planted_candidates())
     # ranking is total and deterministic: excess desc, then name
     keys = [(-s.excess_tickets, s.practice) for s in report.scores]
     assert keys == sorted(keys)
-
-
-def run(ctx):
-    """Bench protocol (repro.bench): scorecard + worst-network causes."""
-    card = score_counterfactual_truth(ctx.dataset)
-    worst = pick_worst_network(ctx.dataset)
-    window = detect_surge(ctx.dataset, worst)
-    report = rank_causes(ctx.dataset, worst, months=list(window.months),
-                         candidates=planted_candidates())
     return {
         "scorecard": {
             "n_planted": int(card.n_planted),
@@ -76,4 +48,15 @@ def run(ctx):
              "attributed": bool(s.attributed)}
             for s in report.scores[:5]
         ],
+    }
+
+
+def claims(result):
+    card = result["scorecard"]
+    return {
+        "what-if: the synthesizer plants causal practices":
+            card["n_planted"] > 0,
+        "what-if: no planted null is attributed":
+            card["n_false_alarms"] == 0,
+        "what-if: the planted-truth scorecard passes": card["passed"],
     }

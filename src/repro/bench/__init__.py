@@ -1,64 +1,48 @@
-"""Benchmark orchestration and performance-regression harness.
+"""The paper benchmarks as one checked suite: ``mpa bench``.
 
-The ``benchmarks/bench_*.py`` scripts each reproduce one of the paper's
-figures or tables. Historically they only ran as a pytest suite; this
-package runs them *uniformly* as perf artifacts:
+Each ``benchmarks/bench_*.py`` script reproduces one of the paper's
+figures or tables and exposes two entry points: ``run(ctx)`` returns
+the figure's data, and ``claims(result)`` returns named verdicts that
+state the result shape the paper reports. This package runs them:
 
-* :mod:`repro.bench.discover` finds every ``bench_*.py`` script and its
-  ``run(ctx)`` protocol entry point;
+* :mod:`repro.bench.discover` finds every ``bench_*.py`` script and
+  loads its ``run``/``claims`` pair;
 * :mod:`repro.bench.context` provides the shared resources a bench
-  needs (workspace, dataset, temp dirs) without pytest fixtures;
-* :mod:`repro.bench.runner` executes each bench in-process with warmup
-  + N repeats and captures wall time (median/min), peak RSS, the
-  :data:`repro.runtime.telemetry.TELEMETRY` stage/cache deltas, and a
-  SHA-256 checksum of the bench's numeric output;
-* :mod:`repro.bench.record` persists one ``BENCH_<name>.json`` per
-  bench (with a machine fingerprint);
-* :mod:`repro.bench.compare` diffs a run against the committed
-  noise-aware baseline (``benchmarks/baseline.json``) and flags time
-  regressions and output drift.
+  needs (workspace, dataset, temp dirs);
+* :mod:`repro.bench.runner` calls ``run`` once per bench, hashes the
+  output canonically and evaluates ``claims``;
+* :mod:`repro.bench.compare` checks each hash against its pin in
+  ``benchmarks/baseline.json`` and folds pin and claims into a verdict.
 
-``mpa bench`` (see :mod:`repro.cli`) wires it all together.
+Nothing here measures time; ``perf/`` is the repo's only timer.
 """
 
 from repro.bench.compare import (
-    DEFAULT_TIME_TOLERANCE,
-    Baseline,
-    BaselineEntry,
-    BenchDelta,
+    BenchVerdict,
     compare_results,
+    load_pins,
     update_baseline,
 )
 from repro.bench.context import BenchContext
 from repro.bench.discover import BenchProtocolError, BenchSpec, discover
-from repro.bench.record import load_report, result_path, write_results
 from repro.bench.runner import (
     BenchResult,
-    RunReport,
-    machine_fingerprint,
     output_checksum,
     run_bench,
     run_suite,
 )
 
 __all__ = [
-    "Baseline",
-    "BaselineEntry",
     "BenchContext",
-    "BenchDelta",
     "BenchProtocolError",
     "BenchResult",
     "BenchSpec",
-    "DEFAULT_TIME_TOLERANCE",
-    "RunReport",
+    "BenchVerdict",
     "compare_results",
     "discover",
-    "load_report",
-    "machine_fingerprint",
+    "load_pins",
     "output_checksum",
-    "result_path",
     "run_bench",
     "run_suite",
     "update_baseline",
-    "write_results",
 ]

@@ -1,263 +1,114 @@
-"""Baseline comparison: golden-number guards for time and output.
+"""Pin check: each bench's output hash against ``benchmarks/baseline.json``.
 
-``benchmarks/baseline.json`` is the committed perf contract:
-
-* per bench, the **median-of-repeats** wall time and the SHA-256 of
-  the bench's numeric output, as recorded by ``mpa bench
-  --update-baseline`` on a quiet machine;
-* a global time tolerance (default ±20%) with optional per-bench
-  overrides (noisy benches can be granted more slack), plus an
-  absolute floor (default 50 ms) so sub-millisecond benches don't
-  flap on relative jitter;
-* the machine fingerprint of the recording host — wall-time deltas
-  against a *different* machine are reported but easy to misread, so
-  the comparison warns loudly when fingerprints differ.
-
-Verdicts per bench:
+The baseline is a flat ``{bench: output_sha256}`` map — the committed
+bit-identity contract of every bench's result. A verdict folds the pin
+check and the bench's claims into one line:
 
 ========== =============================================== =========
-status     meaning                                         fails?
+pin        meaning                                         fails?
 ========== =============================================== =========
-ok         within tolerance, checksum matches              no
-faster     median below ``base*(1-tol)`` — refresh hint    no
-slower     median above ``base*(1+tol)``                   yes
-drift      output checksum changed                         yes
-error      the bench raised or was nondeterministic        yes
-new        no baseline entry yet                           no
-missing    baseline entry whose bench no longer ran        yes
+ok         output hash equals the pin                      no
+drift      output hash differs from the pin                yes
+error      ``run`` or ``claims`` raised                    yes
+unpinned   no pin for this bench                           unfiltered
+missing    a pin whose bench did not run                   unfiltered
 ========== =============================================== =========
 
-``missing`` is only raised for unfiltered runs — a vanished benchmark
-silently dropping out of the perf contract is itself a regression.
-
-Peak RSS is compared **advisorily**: a grown footprint annotates the
-row (never fails the run), and the judgment is skipped entirely when
-the runner could not reset the kernel's RSS high-water mark before the
-bench (``rss_reset=False``) — in that case ``peak_rss_kb`` is the
-process-lifetime high-water mark, which says nothing about *this*
-bench, and judging it would flag phantom regressions. Baselines only
-ever record RSS from reset measurements for the same reason.
+A failed claim fails the verdict whatever the pin says. ``unpinned``
+and ``missing`` only fail an unfiltered run (``strict=True``): a bench
+outside the contract, or one that vanished from it, is a regression of
+the contract itself, while a filtered run checks only what it ran.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
-from repro.bench.runner import RunReport
+from repro.bench.runner import BenchResult
 from repro.util.ioutils import atomic_write_text
 
-#: Default relative wall-time tolerance (±20%).
-DEFAULT_TIME_TOLERANCE = 0.20
 
-#: Absolute slack (seconds) added on top of the relative tolerance: a
-#: bench is only ``slower``/``faster`` when the median moved by more
-#: than this too. Sub-millisecond benches jitter by tens of percent on
-#: any loaded machine; the floor keeps them from flapping.
-DEFAULT_TIME_FLOOR_SECONDS = 0.05
-
-#: Relative peak-RSS growth above which a row gets an advisory
-#: annotation (never a failure — allocator and kernel accounting are
-#: too noisy for a hard memory gate).
-RSS_ADVISORY_TOLERANCE = 0.25
+def load_pins(path: Path) -> dict[str, str]:
+    """The ``{bench: output_sha256}`` map stored at ``path``."""
+    return json.loads(Path(path).read_text())
 
 
 @dataclass
-class BaselineEntry:
-    """The committed expectation for one bench."""
-
-    median_seconds: float
-    output_sha256: str | None = None
-    #: per-bench tolerance override (None = the baseline's global one)
-    time_tolerance: float | None = None
-    #: peak RSS of the recording run; only ever stored from runs where
-    #: the runner reset the high-water mark first (``rss_reset=True``),
-    #: so it is a per-bench figure, not a process-lifetime one
-    peak_rss_kb: int | None = None
-
-    def to_dict(self) -> dict:
-        data = {"median_seconds": round(self.median_seconds, 6),
-                "output_sha256": self.output_sha256}
-        if self.time_tolerance is not None:
-            data["time_tolerance"] = self.time_tolerance
-        if self.peak_rss_kb is not None:
-            data["peak_rss_kb"] = self.peak_rss_kb
-        return data
-
-
-@dataclass
-class Baseline:
-    """The parsed ``benchmarks/baseline.json``."""
-
-    entries: dict[str, BaselineEntry] = field(default_factory=dict)
-    time_tolerance: float = DEFAULT_TIME_TOLERANCE
-    time_floor_seconds: float = DEFAULT_TIME_FLOOR_SECONDS
-    machine: dict = field(default_factory=dict)
-
-    @classmethod
-    def load(cls, path: Path) -> "Baseline":
-        data = json.loads(Path(path).read_text())
-        entries = {
-            name: BaselineEntry(
-                median_seconds=entry["median_seconds"],
-                output_sha256=entry.get("output_sha256"),
-                time_tolerance=entry.get("time_tolerance"),
-                peak_rss_kb=entry.get("peak_rss_kb"),
-            )
-            for name, entry in data.get("benches", {}).items()
-        }
-        return cls(entries=entries,
-                   time_tolerance=data.get("time_tolerance",
-                                           DEFAULT_TIME_TOLERANCE),
-                   time_floor_seconds=data.get(
-                       "time_floor_seconds", DEFAULT_TIME_FLOOR_SECONDS),
-                   machine=data.get("machine", {}))
-
-    def save(self, path: Path) -> None:
-        data = {
-            "time_tolerance": self.time_tolerance,
-            "time_floor_seconds": self.time_floor_seconds,
-            "machine": self.machine,
-            "benches": {name: entry.to_dict()
-                        for name, entry in sorted(self.entries.items())},
-        }
-        atomic_write_text(path, json.dumps(data, indent=2) + "\n")
-
-    def tolerance_for(self, name: str) -> float:
-        entry = self.entries.get(name)
-        if entry is not None and entry.time_tolerance is not None:
-            return entry.time_tolerance
-        return self.time_tolerance
-
-
-@dataclass
-class BenchDelta:
-    """One bench's verdict against the baseline."""
+class BenchVerdict:
+    """One bench's pin status and claim tally."""
 
     name: str
-    status: str  # ok / faster / slower / drift / error / new / missing
-    baseline_seconds: float | None = None
-    current_seconds: float | None = None
-    tolerance: float | None = None
+    pin: str  # ok / drift / error / unpinned / missing
+    failed: bool
+    n_claims: int = 0
+    failed_claims: tuple[str, ...] = ()
     detail: str = ""
-    #: advisory peak-RSS annotation ("" = nothing to say); never fails
-    rss_note: str = ""
 
-    @property
-    def failed(self) -> bool:
-        return self.status in ("slower", "drift", "error", "missing")
-
-    @property
-    def ratio(self) -> float | None:
-        """current/baseline median wall time (1.0 = unchanged)."""
-        if not self.baseline_seconds or self.current_seconds is None:
-            return None
-        return self.current_seconds / self.baseline_seconds
+    def line(self) -> str:
+        """The one status line ``mpa bench`` prints for this bench."""
+        passed = self.n_claims - len(self.failed_claims)
+        text = (f"  {self.name:<28} pin {self.pin:<9} "
+                f"claims {passed}/{self.n_claims}")
+        if self.failed_claims:
+            text += "  failed: " + "; ".join(self.failed_claims)
+        if self.detail:
+            text += f"  ({self.detail})"
+        return text
 
 
-def _rss_note(result, entry: BaselineEntry | None) -> str:
-    """Advisory peak-RSS annotation for one bench row.
+def verdict_for(result: BenchResult, pins: dict[str, str],
+                strict: bool = False) -> BenchVerdict:
+    """Fold one result's pin check and claims into a verdict."""
+    pin = pins.get(result.name)
+    detail = ""
+    if result.error is not None:
+        status = "error"
+        detail = result.error.strip().splitlines()[-1]
+    elif pin is None:
+        status = "unpinned"
+        detail = "no pin (run --update-baseline)"
+    elif result.output_sha256 != pin:
+        status = "drift"
+        detail = f"output {result.output_sha256[:12]} != pin {pin[:12]}"
+    else:
+        status = "ok"
+    failed_claims = tuple(result.failed_claims)
+    failed = (status in ("error", "drift") or bool(failed_claims)
+              or (strict and status == "unpinned"))
+    return BenchVerdict(name=result.name, pin=status, failed=failed,
+                        n_claims=len(result.claims),
+                        failed_claims=failed_claims, detail=detail)
 
-    A measurement taken without a high-water-mark reset is the process
-    peak *up to that point* — comparing it against a per-bench baseline
-    would misattribute earlier benches' memory to this one, so stale
-    measurements are called out and never judged.
+
+def compare_results(results: list[BenchResult], pins: dict[str, str],
+                    strict: bool = False) -> list[BenchVerdict]:
+    """Verdict for every result, plus ``missing`` pins when ``strict``.
+
+    Pass ``strict=True`` only for unfiltered runs.
     """
-    if result.peak_rss_kb is None:
-        return ""
-    if not result.rss_reset:
-        return "rss stale (no reset); not judged"
-    if entry is None or not entry.peak_rss_kb:
-        return ""
-    growth = result.peak_rss_kb / entry.peak_rss_kb - 1.0
-    if growth > RSS_ADVISORY_TOLERANCE:
-        return (f"rss {result.peak_rss_kb} kB, {growth:+.0%} vs "
-                f"baseline (advisory)")
-    return ""
+    verdicts = [verdict_for(result, pins, strict) for result in results]
+    if strict:
+        ran = {result.name for result in results}
+        verdicts += [BenchVerdict(name=name, pin="missing", failed=True,
+                                  detail="pinned but not discovered")
+                     for name in sorted(set(pins) - ran)]
+    return verdicts
 
 
-def compare_results(report: RunReport, baseline: Baseline,
-                    time_tolerance: float | None = None,
-                    check_missing: bool = False) -> list[BenchDelta]:
-    """Verdict for every result in ``report`` (plus missing entries).
+def update_baseline(results: list[BenchResult],
+                    path: Path) -> dict[str, str]:
+    """Merge ``results``' hashes into the pins at ``path`` (create if absent).
 
-    ``time_tolerance`` overrides every tolerance in the baseline (CI
-    uses a loose one to absorb runner-to-runner machine variance).
-    ``check_missing`` adds a failing ``missing`` delta for baseline
-    entries that did not run — pass True only for unfiltered runs.
-    """
-    deltas = []
-    for result in report.results:
-        entry = baseline.entries.get(result.name)
-        base_seconds = entry.median_seconds if entry else None
-        tol = (time_tolerance if time_tolerance is not None
-               else baseline.tolerance_for(result.name))
-        delta = BenchDelta(name=result.name, status="ok",
-                           baseline_seconds=base_seconds,
-                           current_seconds=result.median_seconds,
-                           tolerance=tol)
-        if not result.ok:
-            delta.status = "error"
-            delta.detail = (result.error or "failed").strip().splitlines()[-1]
-        elif entry is None:
-            delta.status = "new"
-            delta.detail = "no baseline entry (run --update-baseline)"
-        elif (entry.output_sha256 is not None
-                and result.output_sha256 != entry.output_sha256):
-            delta.status = "drift"
-            delta.detail = (f"output {result.output_sha256[:12]} != "
-                            f"baseline {entry.output_sha256[:12]}")
-        elif (result.median_seconds
-                > base_seconds * (1.0 + tol) + baseline.time_floor_seconds):
-            delta.status = "slower"
-            delta.detail = (f"median {result.median_seconds:.3f}s > "
-                            f"{base_seconds:.3f}s * {1 + tol:.2f} + "
-                            f"{baseline.time_floor_seconds:.2f}s floor")
-        elif (result.median_seconds
-                < base_seconds * (1.0 - tol) - baseline.time_floor_seconds):
-            delta.status = "faster"
-            delta.detail = "consider refreshing the baseline"
-        delta.rss_note = _rss_note(result, entry)
-        deltas.append(delta)
-    if check_missing:
-        ran = {result.name for result in report.results}
-        for name in sorted(set(baseline.entries) - ran):
-            deltas.append(BenchDelta(
-                name=name, status="missing",
-                baseline_seconds=baseline.entries[name].median_seconds,
-                detail="in baseline but not discovered/run",
-            ))
-    return deltas
-
-
-def update_baseline(report: RunReport, path: Path,
-                    time_tolerance: float | None = None) -> Baseline:
-    """Merge ``report`` into the baseline at ``path`` (create if absent).
-
-    Only successful, deterministic benches are recorded; entries for
-    benches that did not run this time are kept untouched, and existing
-    per-bench tolerance overrides survive the refresh.
+    Benches that raised are skipped; pins of benches that did not run
+    are kept untouched.
     """
     path = Path(path)
-    baseline = Baseline.load(path) if path.exists() else Baseline()
-    if time_tolerance is not None:
-        baseline.time_tolerance = time_tolerance
-    baseline.machine = report.fingerprint
-    for result in report.results:
-        if not result.ok or result.median_seconds is None:
-            continue
-        previous = baseline.entries.get(result.name)
-        baseline.entries[result.name] = BaselineEntry(
-            median_seconds=result.median_seconds,
-            output_sha256=result.output_sha256,
-            time_tolerance=(previous.time_tolerance
-                            if previous is not None else None),
-            # never let a stale (un-reset) measurement overwrite a
-            # trustworthy per-bench RSS figure
-            peak_rss_kb=(result.peak_rss_kb if result.rss_reset
-                         else (previous.peak_rss_kb
-                               if previous is not None else None)),
-        )
-    baseline.save(path)
-    return baseline
+    pins = load_pins(path) if path.exists() else {}
+    for result in results:
+        if result.error is None:
+            pins[result.name] = result.output_sha256
+    atomic_write_text(path, json.dumps(dict(sorted(pins.items())),
+                                       indent=2) + "\n")
+    return pins

@@ -1,16 +1,13 @@
 """Shared resources for benchmark ``run(ctx)`` entry points.
 
-:class:`BenchContext` mirrors the pytest fixtures in
-``benchmarks/conftest.py`` (workspace / dataset / changes / mpa / top10
-/ large_scale) so the same figure- and table-reproduction code can run
-under both the pytest suite and the perf runner. Everything is lazy and
-memoized: a bench that never touches the dataset never pays for it, and
-repeats share the session artifacts (which are read-only).
+:class:`BenchContext` hands every bench the session artifacts it needs
+(workspace / dataset / changes / mpa / top10 / large_scale). Everything
+is lazy and memoized: a bench that never touches the dataset never pays
+for it, and every bench shares the same (read-only) artifacts.
 
 Mutable needs go through :meth:`tmp_dir` (a fresh directory per call,
 removed when the context closes) and :meth:`env` (set-and-restore
-environment variables) so repeats stay independent — the runner's
-repeat semantics require benches not to leak state.
+environment variables) so one bench never leaks state into the next.
 """
 
 from __future__ import annotations
@@ -34,7 +31,7 @@ class BenchContext:
         self._top10 = None
         self._tmp_dirs: list[Path] = []
 
-    # -- session artifacts (mirror benchmarks/conftest.py fixtures) ------
+    # -- session artifacts -----------------------------------------------
 
     @property
     def workspace(self):
@@ -98,8 +95,8 @@ class BenchContext:
         """Set environment variables for a block, then restore them.
 
         ``None`` unsets a variable. Benches that tune ``MPA_JOBS`` etc.
-        must use this instead of bare ``os.environ`` writes so repeats
-        (and the benches that run after them) see a clean environment.
+        must use this instead of bare ``os.environ`` writes so the
+        benches that run after them see a clean environment.
         """
         saved = {name: os.environ.get(name) for name in overrides}
         try:

@@ -1,7 +1,8 @@
-"""Benchmark discovery: find ``bench_*.py`` scripts and their ``run()``.
+"""Benchmark discovery: find ``bench_*.py`` scripts and their entry points.
 
 The bench protocol is deliberately tiny: a benchmark script is any file
-matching ``benchmarks/bench_*.py`` that exposes a module-level
+matching ``benchmarks/bench_*.py`` that exposes two module-level
+functions
 
 .. code-block:: python
 
@@ -9,11 +10,13 @@ matching ``benchmarks/bench_*.py`` that exposes a module-level
         ...
         return numeric_output  # JSON-serializable figure/table data
 
-``run`` must be **repeatable in-process**: no module-global caches, no
-global RNG reseeding, no environment mutation it does not undo — the
-runner calls it warmup + N times and checksums every return value, so a
-repeat that observes state left behind by the previous one shows up as
-nondeterministic output and fails the run.
+    def claims(result):  # result: what run() returned
+        return {"Fig. 8: oversampling lifts ...": bool, ...}
+
+``run`` must not leak state into the benches after it: no module-global
+caches, no global RNG reseeding, no environment mutation it does not
+undo (use ``ctx.env`` and ``ctx.tmp_dir``). ``claims`` reads only its
+argument; each claim name cites the paper's table, figure or section.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from repro.errors import MPAError
 
 
 class BenchProtocolError(MPAError):
-    """A benchmark script does not follow the ``run(ctx)`` protocol."""
+    """A benchmark script does not follow the ``run``/``claims`` protocol."""
 
 
 def default_bench_dir() -> Path:
@@ -46,8 +49,8 @@ class BenchSpec:
     name: str  # "runtime_smoke" for benchmarks/bench_runtime_smoke.py
     path: Path
 
-    def load_run(self):
-        """Import the script and return its ``run`` callable."""
+    def load(self):
+        """Import the script; it must define callable ``run`` and ``claims``."""
         module_name = f"_repro_bench_{self.name}"
         spec = importlib.util.spec_from_file_location(module_name,
                                                       self.path)
@@ -58,13 +61,13 @@ class BenchSpec:
         # module resolve their __module__
         sys.modules[module_name] = module
         spec.loader.exec_module(module)
-        run = getattr(module, "run", None)
-        if not callable(run):
-            raise BenchProtocolError(
-                f"{self.path.name} defines no run(ctx) entry point "
-                "(see repro.bench.discover)"
-            )
-        return run
+        for entry in ("run", "claims"):
+            if not callable(getattr(module, entry, None)):
+                raise BenchProtocolError(
+                    f"{self.path.name} defines no callable {entry}() "
+                    "(see repro.bench.discover)"
+                )
+        return module
 
 
 def discover(bench_dir: Path | None = None,

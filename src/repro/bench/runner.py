@@ -1,25 +1,10 @@
-"""In-process benchmark execution: warmup + repeats, time/RSS/telemetry.
+"""In-process benchmark execution: one ``run`` call, checksum, claims.
 
-Measurement model (the "noise-aware" part of the baseline contract):
-
-* every bench runs ``warmup`` throwaway iterations first (imports,
-  lazily-built session artifacts, OS page cache), then ``repeat``
-  timed iterations;
-* the **median** of the timed repeats is the comparison statistic —
-  robust to one-off scheduler hiccups — and the **min** is recorded as
-  the "best achievable" reference;
-* the bench's numeric output is checksummed on *every* repeat; repeats
-  must agree bit-for-bit or the bench is flagged nondeterministic
-  (a repeat observing state leaked by the previous one is a bug, see
-  :mod:`repro.bench.discover`);
-* :data:`repro.runtime.telemetry.TELEMETRY` is snapshotted around the
-  timed repeats, so each ``BENCH_<name>.json`` carries the stage/cache
-  counters the bench actually exercised.
-
-Peak RSS is read from ``/proc/self/status`` (``VmHWM``), reset per
-bench via ``/proc/self/clear_refs`` where the kernel allows it; when
-the reset is unavailable the recorded value is the process high-water
-mark up to that point (monotone across benches — see DESIGN.md).
+Each bench runs exactly once. Its output is reduced to canonical JSON
+and hashed (:func:`output_checksum`) for the pin check, and the raw
+output is handed to the bench's ``claims`` for the paper-shape
+verdicts. A bench that raises — in ``run`` or in ``claims`` — is
+recorded with its traceback and the suite moves on.
 """
 
 from __future__ import annotations
@@ -27,8 +12,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import statistics
-import time
 import traceback
 from dataclasses import dataclass, field
 from typing import Any
@@ -37,11 +20,6 @@ import numpy as np
 
 from repro.bench.context import BenchContext
 from repro.bench.discover import BenchSpec
-from repro.runtime.telemetry import TELEMETRY
-
-#: Bump when the measurement protocol changes incompatibly.
-BENCH_FORMAT_VERSION = 1
-
 
 # -- output checksum ---------------------------------------------------------
 
@@ -81,185 +59,49 @@ def output_checksum(output: Any) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-# -- peak RSS ----------------------------------------------------------------
-
-
-def _reset_peak_rss() -> bool:
-    """Reset the kernel's RSS high-water mark; True when it worked."""
-    try:
-        with open("/proc/self/clear_refs", "w") as handle:
-            handle.write("5")
-        return True
-    except OSError:
-        return False
-
-
-def _peak_rss_kb() -> int | None:
-    """Current ``VmHWM`` (peak resident set size) in kB, or None."""
-    try:
-        with open("/proc/self/status") as handle:
-            for line in handle:
-                if line.startswith("VmHWM:"):
-                    return int(line.split()[1])
-    except (OSError, ValueError, IndexError):
-        pass
-    try:
-        import resource
-        return int(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
-    except Exception:
-        return None
-
-
-# -- results -----------------------------------------------------------------
+# -- execution ---------------------------------------------------------------
 
 
 @dataclass
 class BenchResult:
-    """Everything one bench run records (one ``BENCH_<name>.json``)."""
+    """One bench's output hash and claim verdicts (or its error)."""
 
     name: str
-    repeats: int
-    warmup: int
-    seconds: list[float] = field(default_factory=list)
-    median_seconds: float | None = None
-    min_seconds: float | None = None
-    peak_rss_kb: int | None = None
-    #: True when the RSS high-water mark was reset before this bench
-    rss_reset: bool = False
     output_sha256: str | None = None
-    #: False when repeats returned different outputs (leaked state)
-    deterministic: bool = True
-    telemetry: dict = field(default_factory=dict)
+    #: claim name -> verdict, in the order the bench states them
+    claims: dict[str, bool] = field(default_factory=dict)
     error: str | None = None
 
     @property
-    def ok(self) -> bool:
-        return self.error is None and self.deterministic
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "repeats": self.repeats,
-            "warmup": self.warmup,
-            "seconds": [round(s, 6) for s in self.seconds],
-            "median_seconds": (None if self.median_seconds is None
-                               else round(self.median_seconds, 6)),
-            "min_seconds": (None if self.min_seconds is None
-                            else round(self.min_seconds, 6)),
-            "peak_rss_kb": self.peak_rss_kb,
-            "rss_reset": self.rss_reset,
-            "output_sha256": self.output_sha256,
-            "deterministic": self.deterministic,
-            "telemetry": self.telemetry,
-            "error": self.error,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "BenchResult":
-        return cls(**{k: data.get(k) for k in (
-            "name", "repeats", "warmup", "seconds", "median_seconds",
-            "min_seconds", "peak_rss_kb", "rss_reset", "output_sha256",
-            "deterministic", "telemetry", "error",
-        )})
+    def failed_claims(self) -> list[str]:
+        return [name for name, ok in self.claims.items() if not ok]
 
 
-def machine_fingerprint(scale: str | None = None) -> dict:
-    """Where a measurement came from; baselines embed this.
-
-    Wall-time baselines are only comparable on the machine that
-    recorded them — the fingerprint lets :mod:`repro.bench.compare`
-    warn when the machines differ.
-    """
-    import os
-    import platform
-    return {
-        "hostname": platform.node(),
-        "platform": platform.platform(),
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "cpu_count": os.cpu_count(),
-        "scale": scale,
-        "jobs": os.environ.get("MPA_JOBS"),
-        "bench_format": BENCH_FORMAT_VERSION,
-    }
-
-
-@dataclass
-class RunReport:
-    """One ``mpa bench`` invocation: fingerprint + per-bench results."""
-
-    fingerprint: dict
-    results: list[BenchResult] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return all(result.ok for result in self.results)
-
-    def result_for(self, name: str) -> BenchResult:
-        for result in self.results:
-            if result.name == name:
-                return result
-        raise KeyError(f"no bench result named {name!r}")
-
-
-# -- execution ---------------------------------------------------------------
-
-
-def run_bench(spec: BenchSpec, ctx: BenchContext, repeat: int = 3,
-              warmup: int = 1) -> BenchResult:
-    """Execute one bench with warmup + ``repeat`` timed iterations."""
-    if repeat < 1:
-        raise ValueError("repeat must be >= 1")
-    result = BenchResult(name=spec.name, repeats=repeat, warmup=warmup)
+def run_bench(spec: BenchSpec, ctx: BenchContext) -> BenchResult:
+    """Run one bench once: hash its output and evaluate its claims."""
+    result = BenchResult(name=spec.name)
     try:
-        run = spec.load_run()
-        for _ in range(warmup):
-            run(ctx)
-        result.rss_reset = _reset_peak_rss()
-        snapshot = TELEMETRY.snapshot()
-        checksums = []
-        for _ in range(repeat):
-            start = time.perf_counter()
-            output = run(ctx)
-            result.seconds.append(time.perf_counter() - start)
-            checksums.append(output_checksum(output))
-        result.telemetry = TELEMETRY.delta_since(snapshot)
-        result.peak_rss_kb = _peak_rss_kb()
-        result.median_seconds = statistics.median(result.seconds)
-        result.min_seconds = min(result.seconds)
-        result.output_sha256 = checksums[0]
-        result.deterministic = len(set(checksums)) == 1
-        if not result.deterministic:
-            result.error = (
-                "nondeterministic output across repeats: "
-                f"{sorted(set(checksums))} — the bench leaks state "
-                "between runs"
-            )
+        bench = spec.load()
+        output = bench.run(ctx)
+        result.output_sha256 = output_checksum(output)
+        result.claims = {name: bool(ok)
+                         for name, ok in bench.claims(output).items()}
     except Exception:
         result.error = traceback.format_exc(limit=8)
     return result
 
 
-def run_suite(specs: list[BenchSpec], ctx: BenchContext | None = None,
-              repeat: int = 3, warmup: int = 1,
-              scale: str | None = None,
-              progress=None) -> RunReport:
+def run_suite(specs: list[BenchSpec], ctx: BenchContext,
+              progress=None) -> list[BenchResult]:
     """Run every spec against one shared context; never raises per-bench.
 
-    ``progress`` is an optional ``callable(spec, result)`` invoked after
-    each bench (the CLI uses it to stream status lines).
+    ``progress`` is an optional ``callable(result)`` invoked after each
+    bench (the CLI uses it to stream one line per bench).
     """
-    own_ctx = ctx is None
-    if own_ctx:
-        ctx = BenchContext(scale)
-    report = RunReport(fingerprint=machine_fingerprint(scale=ctx.scale))
-    try:
-        for spec in specs:
-            result = run_bench(spec, ctx, repeat=repeat, warmup=warmup)
-            report.results.append(result)
-            if progress is not None:
-                progress(spec, result)
-    finally:
-        if own_ctx:
-            ctx.close()
-    return report
+    results = []
+    for spec in specs:
+        result = run_bench(spec, ctx)
+        results.append(result)
+        if progress is not None:
+            progress(result)
+    return results

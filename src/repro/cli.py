@@ -269,36 +269,19 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--output", required=True, help="CSV file path")
 
     p = sub.add_parser("bench",
-                       help="run the paper benchmarks as perf artifacts "
-                            "(warmup + repeats, BENCH_*.json, baseline "
-                            "compare)")
+                       help="run every paper benchmark once and check its "
+                            "output pin and its paper claims")
     _add_scale(p)
     p.add_argument("--filter", action="append", dest="filters",
                    metavar="SUBSTR",
                    help="only benches whose name contains SUBSTR "
                         "(repeatable; default: all)")
-    p.add_argument("--repeat", type=int, default=3,
-                   help="timed repeats per bench (median is compared; "
-                        "default 3)")
-    p.add_argument("--warmup", type=int, default=1,
-                   help="untimed warmup iterations per bench (default 1)")
-    p.add_argument("--compare", default=None, metavar="BASELINE",
-                   help="compare against this baseline JSON and exit 1 "
-                        "on time regression or output drift")
-    p.add_argument("--update-baseline", nargs="?", default=None,
-                   const="benchmarks/baseline.json", metavar="BASELINE",
-                   help="record this run's medians/checksums into the "
-                        "baseline (default benchmarks/baseline.json)")
-    p.add_argument("--time-tolerance", type=float, default=None,
-                   help="override the baseline's relative wall-time "
-                        "tolerance (e.g. 0.2 = ±20%%); CI uses a loose "
-                        "value to absorb machine variance")
-    p.add_argument("--output-dir", default="benchmarks/results",
-                   help="where BENCH_<name>.json files are written "
-                        "(default benchmarks/results)")
+    p.add_argument("--update-baseline", action="store_true",
+                   help="record this run's output hashes as the pins in "
+                        "the bench dir's baseline.json")
     p.add_argument("--bench-dir", default=None,
-                   help="directory holding bench_*.py (default: the "
-                        "repo's benchmarks/)")
+                   help="directory holding bench_*.py and baseline.json "
+                        "(default: the repo's benchmarks/)")
     p.add_argument("--list", action="store_true",
                    help="list discovered benchmarks and exit")
 
@@ -578,19 +561,21 @@ def main(argv: list[str] | None = None) -> int:
         print(format_fault_table(TELEMETRY.faults()))
         return 0
     if args.command == "bench":
+        import os
         from pathlib import Path
 
         from repro.bench import (
-            Baseline,
             BenchContext,
             compare_results,
             discover,
+            load_pins,
             run_suite,
             update_baseline,
-            write_results,
         )
-        from repro.reporting.tables import format_bench_table
-        bench_dir = Path(args.bench_dir) if args.bench_dir else None
+        from repro.bench.compare import verdict_for
+        from repro.bench.discover import default_bench_dir
+        from repro.runtime.telemetry import TELEMETRY
+        bench_dir = Path(args.bench_dir or default_bench_dir())
         specs = discover(bench_dir, filters=args.filters)
         if args.list:
             for spec in specs:
@@ -599,64 +584,43 @@ def main(argv: list[str] | None = None) -> int:
         if not specs:
             print("no benchmarks matched the filter", file=sys.stderr)
             return 2
-
-        def progress(spec, result):
-            median = ("-" if result.median_seconds is None
-                      else f"{result.median_seconds:.3f}s")
-            rss = ("" if result.peak_rss_kb is None
-                   else f"  rss {result.peak_rss_kb / 1024:.0f}MB")
-            print(f"  {spec.name:<28} {median:>9}"
-                  f"{rss}  {'ok' if result.ok else 'FAIL'}")
+        baseline_path = bench_dir / "baseline.json"
+        if not baseline_path.exists() and not args.update_baseline:
+            print(f"baseline {baseline_path} does not exist "
+                  "(record one with --update-baseline)", file=sys.stderr)
+            return 2
+        pins = load_pins(baseline_path) if baseline_path.exists() else {}
+        strict = not args.filters
 
         with BenchContext(args.scale) as ctx:
             print(f"running {len(specs)} benchmark(s) at scale "
-                  f"{ctx.scale}: warmup={args.warmup}, "
-                  f"repeat={args.repeat}")
-            report = run_suite(specs, ctx=ctx, repeat=args.repeat,
-                               warmup=args.warmup, progress=progress)
-        paths = write_results(report, Path(args.output_dir))
-        print(f"{len(paths)} BENCH_*.json written to {args.output_dir}")
-        for result in report.results:
+                  f"{ctx.scale}")
+            results = run_suite(
+                specs, ctx=ctx,
+                progress=lambda result: print(
+                    verdict_for(result, pins, strict).line(), flush=True),
+            )
+        if args.update_baseline:
+            # the lines above showed what changed against the old pins;
+            # the exit code judges the run against the recorded ones
+            pins = update_baseline(results, baseline_path)
+            print(f"baseline updated: {baseline_path} ({len(pins)} pins)")
+        verdicts = compare_results(results, pins, strict=strict)
+        for verdict in verdicts[len(results):]:
+            print(verdict.line())
+        print()
+        print(TELEMETRY.summary())
+        telemetry_path = os.environ.get("MPA_TELEMETRY")
+        if telemetry_path:
+            TELEMETRY.dump_json(telemetry_path)
+        for result in results:
             if result.error:
                 print(f"\nbench {result.name} failed:\n{result.error}",
                       file=sys.stderr)
-
-        exit_code = 0 if report.ok else 1
-        if args.compare:
-            baseline_path = Path(args.compare)
-            if not baseline_path.exists():
-                print(f"baseline {baseline_path} does not exist "
-                      "(record one with --update-baseline)",
-                      file=sys.stderr)
-                return 2
-            baseline = Baseline.load(baseline_path)
-            machine = baseline.machine.get("hostname")
-            current = report.fingerprint.get("hostname")
-            if machine and machine != current:
-                print(f"WARNING: baseline was recorded on {machine!r} "
-                      f"but this run is on {current!r} — wall-time "
-                      "deltas are only meaningful on the recording "
-                      "machine", file=sys.stderr)
-            deltas = compare_results(
-                report, baseline, time_tolerance=args.time_tolerance,
-                check_missing=not args.filters,
-            )
-            print()
-            print(format_bench_table(deltas))
-            failures = [d for d in deltas if d.failed]
-            if failures:
-                for delta in failures:
-                    print(f"REGRESSION: {delta.name}: {delta.status} "
-                          f"({delta.detail})", file=sys.stderr)
-                exit_code = 1
-        if args.update_baseline:
-            baseline = update_baseline(
-                report, Path(args.update_baseline),
-                time_tolerance=args.time_tolerance,
-            )
-            print(f"baseline updated: {args.update_baseline} "
-                  f"({len(baseline.entries)} benches)")
-        return exit_code
+        failed = [v.name for v in verdicts if v.failed]
+        if failed:
+            print(f"FAILED: {', '.join(failed)}", file=sys.stderr)
+        return 1 if failed else 0
     if args.command == "whatif":
         from repro.analysis.causal import (
             ALPHA_ATTRIBUTION,

@@ -270,37 +270,6 @@ def format_class_report(report: EvalReport, class_names: Sequence[str],
     )
 
 
-def format_bench_table(deltas: Sequence["BenchDelta"],
-                       title: str = "Benchmark comparison vs baseline",
-                       ) -> str:
-    """Render the before/after delta table for ``mpa bench --compare``.
-
-    One row per bench: baseline median, current median, the relative
-    delta, and the verdict (``ok``/``faster``/``slower``/``drift``/
-    ``error``/``new``/``missing`` — see :mod:`repro.bench.compare`).
-    Advisory peak-RSS notes (growth, or a stale un-reset measurement
-    that was skipped) are appended to the detail column.
-    """
-    rows = []
-    for delta in deltas:
-        base = ("-" if delta.baseline_seconds is None
-                else f"{delta.baseline_seconds:.3f}s")
-        current = ("-" if delta.current_seconds is None
-                   else f"{delta.current_seconds:.3f}s")
-        ratio = delta.ratio
-        change = "-" if ratio is None else f"{(ratio - 1):+.1%}"
-        status = delta.status.upper() if delta.failed else delta.status
-        detail = delta.detail
-        rss_note = getattr(delta, "rss_note", "")
-        if rss_note:
-            detail = f"{detail} [{rss_note}]" if detail else f"[{rss_note}]"
-        rows.append([delta.name, base, current, change, status, detail])
-    return render_table(
-        ["bench", "baseline", "current", "delta", "status", "detail"],
-        rows, title=title,
-    )
-
-
 def format_fault_table(stats: Sequence[FaultStats],
                        title: str = "Fault handling",
                        ) -> str:

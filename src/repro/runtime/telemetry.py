@@ -188,100 +188,6 @@ class Telemetry:
         with self._lock:
             return dict(self._notes)
 
-    def snapshot(self) -> dict:
-        """An immutable snapshot of every counter, for later deltas.
-
-        The benchmark runner (:mod:`repro.bench`) snapshots the global
-        aggregator around each measured repeat so a bench's stage/cache
-        activity can be attributed to it even though :data:`TELEMETRY`
-        accumulates across the whole process.
-        """
-        with self._lock:
-            return {
-                "stages": {s.name: (s.calls, s.tasks, s.seconds)
-                           for s in self._stages.values()},
-                "caches": {c.name: (c.hits, c.misses)
-                           for c in self._caches.values()},
-                "checks": {c.name: (c.passed, c.failed)
-                           for c in self._checks.values()},
-                "faults": {f.name: (f.retries, f.timeouts, f.dead_letters)
-                           for f in self._faults.values()},
-            }
-
-    def delta_since(self, snapshot: dict) -> dict:
-        """Counter increments since ``snapshot`` (zero rows dropped).
-
-        Returns ``{"stages": {name: {calls, tasks, seconds}},
-        "caches": {name: {hits, misses}},
-        "checks": {name: {passed, failed}}}`` containing only entries
-        that changed, so the result is a compact per-bench attribution.
-
-        Counters are cumulative, so a current value *below* the
-        snapshot means the aggregator was reset (or re-created) inside
-        the measured block — the delta is meaningless for that counter.
-        Such deltas are clamped at zero and the affected counters are
-        listed under ``"counter_resets"`` so consumers (the bench
-        artifacts) can flag the measurement instead of reporting a
-        negative — or silently wrong — increment.
-        """
-        current = self.snapshot()
-        resets: set[str] = set()
-
-        def _inc(kind: str, name: str, now: float, then: float) -> float:
-            if now < then:
-                resets.add(f"{kind}/{name}")
-                return 0
-            return now - then
-
-        stages = {}
-        for name, (calls, tasks, seconds) in current["stages"].items():
-            c0, t0, s0 = snapshot.get("stages", {}).get(name, (0, 0, 0.0))
-            if calls != c0 or tasks != t0:
-                stages[name] = {
-                    "calls": _inc("stages", name, calls, c0),
-                    "tasks": _inc("stages", name, tasks, t0),
-                    "seconds": round(_inc("stages", name, seconds, s0), 6),
-                }
-        caches = {}
-        for name, (hits, misses) in current["caches"].items():
-            h0, m0 = snapshot.get("caches", {}).get(name, (0, 0))
-            if hits != h0 or misses != m0:
-                caches[name] = {"hits": _inc("caches", name, hits, h0),
-                                "misses": _inc("caches", name, misses, m0)}
-        checks = {}
-        for name, (passed, failed) in current["checks"].items():
-            p0, f0 = snapshot.get("checks", {}).get(name, (0, 0))
-            if passed != p0 or failed != f0:
-                checks[name] = {"passed": _inc("checks", name, passed, p0),
-                                "failed": _inc("checks", name, failed, f0)}
-        faults = {}
-        for name, (retries, timeouts, dead) in current["faults"].items():
-            r0, t0, d0 = snapshot.get("faults", {}).get(name, (0, 0, 0))
-            if retries != r0 or timeouts != t0 or dead != d0:
-                faults[name] = {
-                    "retries": _inc("faults", name, retries, r0),
-                    "timeouts": _inc("faults", name, timeouts, t0),
-                    "dead_letters": _inc("faults", name, dead, d0),
-                }
-        # a counter present at snapshot time but gone now means the whole
-        # aggregator was cleared (reset()) inside the measured block
-        for kind in ("stages", "caches", "checks", "faults"):
-            for name in snapshot.get(kind, {}):
-                if name not in current[kind]:
-                    resets.add(f"{kind}/{name}")
-        delta: dict = {}
-        if stages:
-            delta["stages"] = stages
-        if caches:
-            delta["caches"] = caches
-        if checks:
-            delta["checks"] = checks
-        if faults:
-            delta["faults"] = faults
-        if resets:
-            delta["counter_resets"] = sorted(resets)
-        return delta
-
     def reset(self) -> None:
         with self._lock:
             self._stages.clear()

@@ -1,14 +1,11 @@
-"""Tests for the repro.bench perf-regression harness.
+"""Tests for ``mpa bench``: discovery, the canonical output checksum, pin
+and claim verdicts, ``--update-baseline`` and the CLI exit codes.
 
-Covers discovery, the repeat/median measurement protocol, output
-checksumming, baseline comparison verdicts, ``--update-baseline``, and
-the CLI exit codes — including the acceptance-criterion pair: a clean
-tree compares at exit 0 and an artificially slowed bench exits 1.
+Every case runs against a temp bench dir with its own ``baseline.json``;
+none runs the repo's benches (that is ``mpa bench`` itself).
 """
 
 import json
-import statistics
-import sys
 import textwrap
 from pathlib import Path
 
@@ -16,27 +13,29 @@ import numpy as np
 import pytest
 
 from repro.bench import (
-    Baseline,
-    BaselineEntry,
     BenchContext,
     BenchProtocolError,
     BenchResult,
-    RunReport,
     compare_results,
     discover,
-    load_report,
-    machine_fingerprint,
     output_checksum,
-    result_path,
     run_bench,
     run_suite,
     update_baseline,
-    write_results,
 )
+from repro.bench.compare import verdict_for
 from repro.bench.discover import default_bench_dir
 from repro.cli import main
 
 REPO_BENCH_COUNT_MIN = 30
+
+CLEAN = """
+    def run(ctx):
+        return {"total": 123}
+
+    def claims(result):
+        return {"Table 0: total is positive": result["total"] > 0}
+"""
 
 
 def write_bench(bench_dir, name, body):
@@ -44,6 +43,12 @@ def write_bench(bench_dir, name, body):
     bench_dir.mkdir(parents=True, exist_ok=True)
     path = bench_dir / f"bench_{name}.py"
     path.write_text(textwrap.dedent(body))
+    return path
+
+
+def write_pins(bench_dir, pins):
+    path = Path(bench_dir) / "baseline.json"
+    path.write_text(json.dumps(pins))
     return path
 
 
@@ -69,133 +74,99 @@ class TestDiscovery:
         assert len(names) == len(set(names))
         assert "runtime_smoke" in names
         for spec in specs:
-            assert callable(spec.load_run()), spec.name
+            module = spec.load()
+            assert callable(module.run), spec.name
+            assert callable(module.claims), spec.name
 
     def test_default_bench_dir_is_repo_benchmarks(self):
         assert default_bench_dir().name == "benchmarks"
         assert (default_bench_dir() / "bench_runtime_smoke.py").exists()
 
     def test_discover_sorted_and_named_from_stem(self, bench_dir):
-        write_bench(bench_dir, "zeta", "def run(ctx):\n    return 1\n")
-        write_bench(bench_dir, "alpha", "def run(ctx):\n    return 2\n")
+        write_bench(bench_dir, "zeta", CLEAN)
+        write_bench(bench_dir, "alpha", CLEAN)
         specs = discover(bench_dir)
-        assert [spec.name for spec in specs] == ["alpha", "zeta"]
+        assert [s.name for s in specs] == ["alpha", "zeta"]
 
     def test_filters_are_substring_or(self, bench_dir):
-        for name in ("tab03_mi", "tab06_sign", "fig08_tree"):
-            write_bench(bench_dir, name, "def run(ctx):\n    return 0\n")
-        specs = discover(bench_dir, filters=["tab0"])
-        assert [spec.name for spec in specs] == ["tab03_mi", "tab06_sign"]
-        specs = discover(bench_dir, filters=["fig", "tab03"])
-        assert [spec.name for spec in specs] == ["fig08_tree", "tab03_mi"]
-        assert discover(bench_dir, filters=["nope"]) == []
+        for name in ("tab03_mi", "tab04_cmi", "fig02_survey"):
+            write_bench(bench_dir, name, CLEAN)
+        names = [s.name for s in discover(bench_dir,
+                                          filters=["tab0", "survey"])]
+        assert names == ["fig02_survey", "tab03_mi", "tab04_cmi"]
+        assert [s.name for s in discover(bench_dir,
+                                         filters=["cmi"])] == ["tab04_cmi"]
 
     def test_missing_run_is_protocol_error(self, bench_dir):
-        write_bench(bench_dir, "norun", "X = 1\n")
+        write_bench(bench_dir, "norun", "def claims(result):\n    return {}\n")
         (spec,) = discover(bench_dir)
         with pytest.raises(BenchProtocolError):
-            spec.load_run()
+            spec.load()
 
     def test_non_callable_run_is_protocol_error(self, bench_dir):
-        write_bench(bench_dir, "notfunc", "run = 42\n")
+        write_bench(bench_dir, "notfunc",
+                    "run = 42\ndef claims(result):\n    return {}\n")
         (spec,) = discover(bench_dir)
         with pytest.raises(BenchProtocolError):
-            spec.load_run()
+            spec.load()
+
+    def test_missing_claims_is_protocol_error(self, bench_dir):
+        write_bench(bench_dir, "noclaims", "def run(ctx):\n    return 1\n")
+        (spec,) = discover(bench_dir)
+        with pytest.raises(BenchProtocolError, match="claims"):
+            spec.load()
 
 
-# -- measurement -------------------------------------------------------------
+# -- one run per bench -------------------------------------------------------
 
 
 class TestRunBench:
-    def test_repeat_and_median(self, bench_dir, ctx):
-        write_bench(bench_dir, "fast", """
+    def test_hashes_output_and_evaluates_claims(self, bench_dir, ctx):
+        write_bench(bench_dir, "shaped", """
             def run(ctx):
                 return {"answer": 42, "values": [1.0, 2.5]}
+
+            def claims(result):
+                return {"holds": result["answer"] == 42,
+                        "fails": result["values"][0] > 2}
         """)
         (spec,) = discover(bench_dir)
-        result = run_bench(spec, ctx, repeat=5, warmup=2)
-        assert result.ok
-        assert result.repeats == 5 and result.warmup == 2
-        assert len(result.seconds) == 5
-        assert result.median_seconds == statistics.median(result.seconds)
-        assert result.min_seconds == min(result.seconds)
-        assert result.deterministic
+        result = run_bench(spec, ctx)
+        assert result.error is None
         assert result.output_sha256 == output_checksum(
             {"answer": 42, "values": [1.0, 2.5]})
-
-    def test_warmup_iterations_not_timed(self, bench_dir, ctx):
-        write_bench(bench_dir, "counted", """
-            CALLS = []
-            def run(ctx):
-                CALLS.append(1)
-                return len(CALLS) > 0  # output independent of count
-        """)
-        (spec,) = discover(bench_dir)
-        result = run_bench(spec, ctx, repeat=2, warmup=3)
-        assert len(result.seconds) == 2
-        module = sys.modules["_repro_bench_counted"]
-        assert len(module.CALLS) == 5  # 3 warmup + 2 timed
-
-    def test_repeat_must_be_positive(self, bench_dir, ctx):
-        write_bench(bench_dir, "fast", "def run(ctx):\n    return 1\n")
-        (spec,) = discover(bench_dir)
-        with pytest.raises(ValueError):
-            run_bench(spec, ctx, repeat=0)
-
-    def test_nondeterministic_output_is_flagged(self, bench_dir, ctx):
-        write_bench(bench_dir, "leaky", """
-            STATE = [0]
-            def run(ctx):
-                STATE[0] += 1
-                return STATE[0]
-        """)
-        (spec,) = discover(bench_dir)
-        result = run_bench(spec, ctx, repeat=3, warmup=0)
-        assert not result.deterministic
-        assert not result.ok
-        assert "nondeterministic" in result.error
-        assert "leaks state" in result.error
+        assert result.claims == {"holds": True, "fails": False}
+        assert result.failed_claims == ["fails"]
 
     def test_raising_bench_records_traceback(self, bench_dir, ctx):
         write_bench(bench_dir, "boom", """
             def run(ctx):
-                raise RuntimeError("kaboom")
+                raise ValueError("kaboom")
+
+            def claims(result):
+                return {}
         """)
         (spec,) = discover(bench_dir)
-        result = run_bench(spec, ctx, repeat=2)
-        assert not result.ok
-        assert "kaboom" in result.error
-        assert result.median_seconds is None
+        result = run_bench(spec, ctx)
+        assert result.error is not None
+        assert "ValueError: kaboom" in result.error
+        assert result.output_sha256 is None
 
-    def test_suite_continues_past_failures(self, bench_dir):
+    def test_suite_continues_past_failures(self, bench_dir, ctx):
         write_bench(bench_dir, "a_boom", """
             def run(ctx):
-                raise RuntimeError("no")
+                raise RuntimeError("first")
+
+            def claims(result):
+                return {}
         """)
-        write_bench(bench_dir, "b_fine", "def run(ctx):\n    return 7\n")
-        report = run_suite(discover(bench_dir), repeat=1, warmup=0,
-                           scale="tiny")
-        assert [r.name for r in report.results] == ["a_boom", "b_fine"]
-        assert not report.ok
-        assert not report.result_for("a_boom").ok
-        assert report.result_for("b_fine").ok
-
-    def test_result_captures_rss_and_telemetry_fields(self, bench_dir, ctx):
-        write_bench(bench_dir, "fast", "def run(ctx):\n    return [1]\n")
-        (spec,) = discover(bench_dir)
-        result = run_bench(spec, ctx, repeat=1, warmup=0)
-        assert result.peak_rss_kb is None or result.peak_rss_kb > 0
-        assert isinstance(result.telemetry, dict)
-        data = result.to_dict()
-        for key in ("name", "seconds", "median_seconds", "min_seconds",
-                    "peak_rss_kb", "telemetry", "output_sha256"):
-            assert key in data
-
-    def test_fingerprint_identifies_machine(self):
-        fp = machine_fingerprint(scale="tiny")
-        assert fp["scale"] == "tiny"
-        assert fp["python"] and fp["hostname"] is not None
-        assert fp["numpy"] == np.__version__
+        write_bench(bench_dir, "b_fine", CLEAN)
+        seen = []
+        results = run_suite(discover(bench_dir), ctx,
+                            progress=lambda result: seen.append(result.name))
+        assert seen == ["a_boom", "b_fine"]
+        assert results[0].error is not None
+        assert results[1].error is None
 
 
 class TestOutputChecksum:
@@ -221,357 +192,146 @@ class TestOutputChecksum:
             output_checksum(object())
 
 
-# -- persistence -------------------------------------------------------------
+# -- verdicts ----------------------------------------------------------------
 
 
-class TestRecord:
-    def test_write_and_reload_round_trip(self, tmp_path):
-        report = RunReport(
-            fingerprint=machine_fingerprint(scale="tiny"),
-            results=[BenchResult(name="demo", repeats=2, warmup=1,
-                                 seconds=[0.1, 0.2], median_seconds=0.15,
-                                 min_seconds=0.1, output_sha256="ab" * 32)],
-        )
-        paths = write_results(report, tmp_path)
-        assert paths == [result_path(tmp_path, "demo")]
-        assert paths[0].name == "BENCH_demo.json"
-        loaded = load_report(tmp_path)
-        assert loaded.fingerprint == report.fingerprint
-        assert loaded.result_for("demo").median_seconds == 0.15
-        payload = json.loads(paths[0].read_text())
-        for key in ("fingerprint", "seconds", "median_seconds",
-                    "peak_rss_kb", "telemetry", "output_sha256"):
-            assert key in payload
-
-
-# -- baseline comparison -----------------------------------------------------
-
-
-def make_result(name, median, sha="aa" * 32, error=None):
-    return BenchResult(name=name, repeats=3, warmup=1,
-                       seconds=[median] * 3, median_seconds=median,
-                       min_seconds=median, output_sha256=sha,
-                       error=error)
-
-
-def make_report(*results):
-    return RunReport(fingerprint=machine_fingerprint(scale="tiny"),
-                     results=list(results))
+def result(name, output=1, claims=None, error=None):
+    return BenchResult(name=name,
+                       output_sha256=None if error else output_checksum(output),
+                       claims=claims or {}, error=error)
 
 
 class TestCompare:
-    def baseline(self, **entries):
-        return Baseline(entries={
-            name: BaselineEntry(median_seconds=median,
-                                output_sha256="aa" * 32)
-            for name, median in entries.items()
-        })
+    def test_matching_pin_is_ok(self):
+        verdict = verdict_for(result("a"), {"a": output_checksum(1)})
+        assert verdict.pin == "ok" and not verdict.failed
 
-    def test_within_tolerance_is_ok(self):
-        deltas = compare_results(make_report(make_result("x", 1.1)),
-                                 self.baseline(x=1.0))
-        (delta,) = deltas
-        assert delta.status == "ok" and not delta.failed
-        assert delta.ratio == pytest.approx(1.1)
+    def test_output_drift_fails(self):
+        verdict = verdict_for(result("a", output=2),
+                              {"a": output_checksum(1)})
+        assert verdict.pin == "drift" and verdict.failed
 
-    def test_slower_beyond_tolerance_fails(self):
-        (delta,) = compare_results(make_report(make_result("x", 1.5)),
-                                   self.baseline(x=1.0))
-        assert delta.status == "slower" and delta.failed
-        assert "floor" in delta.detail
-
-    def test_faster_is_informational(self):
-        (delta,) = compare_results(make_report(make_result("x", 0.5)),
-                                   self.baseline(x=1.0))
-        assert delta.status == "faster" and not delta.failed
-
-    def test_absolute_floor_absorbs_tiny_bench_jitter(self):
-        # +50% on a 1 ms bench is far inside the 50 ms absolute floor.
-        (delta,) = compare_results(make_report(make_result("x", 0.0015)),
-                                   self.baseline(x=0.001))
-        assert delta.status == "ok"
-
-    def test_output_drift_fails_even_when_fast(self):
-        (delta,) = compare_results(
-            make_report(make_result("x", 0.9, sha="bb" * 32)),
-            self.baseline(x=1.0))
-        assert delta.status == "drift" and delta.failed
+    def test_failed_claim_fails_a_matching_pin(self):
+        verdict = verdict_for(result("a", claims={"ok": True, "bad": False}),
+                              {"a": output_checksum(1)})
+        assert verdict.pin == "ok" and verdict.failed
+        assert verdict.failed_claims == ("bad",)
+        assert "claims 1/2" in verdict.line()
+        assert "bad" in verdict.line()
 
     def test_error_result_fails(self):
-        (delta,) = compare_results(
-            make_report(make_result("x", 1.0, error="boom")),
-            self.baseline(x=1.0))
-        assert delta.status == "error" and delta.failed
+        verdict = verdict_for(result("a", error="Traceback\nOSError: x\n"),
+                              {"a": output_checksum(1)})
+        assert verdict.pin == "error" and verdict.failed
+        assert verdict.detail == "OSError: x"
 
     def test_unknown_bench_is_new_not_failure(self):
-        (delta,) = compare_results(make_report(make_result("y", 1.0)),
-                                   self.baseline(x=1.0))
-        assert delta.status == "new" and not delta.failed
+        verdict = verdict_for(result("fresh"), {})
+        assert verdict.pin == "unpinned" and not verdict.failed
+        assert verdict_for(result("fresh"), {}, strict=True).failed
 
     def test_missing_only_checked_when_asked(self):
-        report = make_report(make_result("x", 1.0))
-        base = self.baseline(x=1.0, gone=2.0)
-        assert [d.status for d in compare_results(report, base)] == ["ok"]
-        deltas = compare_results(report, base, check_missing=True)
-        assert [d.status for d in deltas] == ["ok", "missing"]
-        assert deltas[1].failed
-
-    def test_per_bench_tolerance_override(self):
-        base = self.baseline(x=1.0)
-        base.entries["x"].time_tolerance = 2.0
-        (delta,) = compare_results(make_report(make_result("x", 2.5)), base)
-        assert delta.status == "ok"
-        # explicit override beats the per-bench one
-        (delta,) = compare_results(make_report(make_result("x", 2.5)), base,
-                                   time_tolerance=0.1)
-        assert delta.status == "slower"
+        pins = {"a": output_checksum(1), "gone": output_checksum(1)}
+        assert [v.name for v in compare_results([result("a")], pins)] == ["a"]
+        verdicts = compare_results([result("a")], pins, strict=True)
+        assert [(v.name, v.pin, v.failed) for v in verdicts] == [
+            ("a", "ok", False), ("gone", "missing", True)]
 
     def test_update_baseline_merges_and_skips_failures(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        update_baseline(make_report(make_result("x", 1.0)), path)
-        base = Baseline.load(path)
-        base.entries["x"].time_tolerance = 0.5  # survives refresh
-        base.save(path)
-        update_baseline(
-            make_report(make_result("x", 2.0),
-                        make_result("bad", 1.0, error="boom")),
-            path)
-        base = Baseline.load(path)
-        assert set(base.entries) == {"x"}
-        assert base.entries["x"].median_seconds == 2.0
-        assert base.entries["x"].time_tolerance == 0.5
-        assert base.machine.get("hostname")
+        path = write_pins(tmp_path, {"kept": "k" * 64, "a": "old"})
+        pins = update_baseline(
+            [result("a", output=7), result("b", error="boom")], path)
+        assert pins == {"a": output_checksum(7), "kept": "k" * 64}
+        assert json.loads(path.read_text()) == pins
 
 
 # -- CLI ---------------------------------------------------------------------
 
 
 class TestCli:
-    def run_cli(self, *argv):
-        return main(["bench", *argv])
+    def run_cli(self, bench_dir, *argv):
+        return main(["bench", "--scale", "tiny",
+                     "--bench-dir", str(bench_dir), *argv])
 
     def test_list_prints_names(self, bench_dir, capsys):
-        write_bench(bench_dir, "one", "def run(ctx):\n    return 1\n")
-        code = self.run_cli("--bench-dir", str(bench_dir), "--list")
-        assert code == 0
+        write_bench(bench_dir, "one", CLEAN)
+        assert self.run_cli(bench_dir, "--list") == 0
         assert capsys.readouterr().out.strip() == "one"
 
-    def test_no_match_exits_2(self, bench_dir, capsys):
-        write_bench(bench_dir, "one", "def run(ctx):\n    return 1\n")
-        code = self.run_cli("--bench-dir", str(bench_dir),
-                            "--filter", "nothing")
-        assert code == 2
+    def test_no_match_exits_2(self, bench_dir):
+        write_bench(bench_dir, "one", CLEAN)
+        assert self.run_cli(bench_dir, "--filter", "nothing") == 2
 
-    def test_missing_baseline_exits_2(self, bench_dir, tmp_path, capsys):
-        write_bench(bench_dir, "one", "def run(ctx):\n    return 1\n")
-        code = self.run_cli("--bench-dir", str(bench_dir),
-                            "--output-dir", str(tmp_path / "out"),
-                            "--repeat", "1", "--warmup", "0",
-                            "--compare", str(tmp_path / "nope.json"))
-        assert code == 2
+    def test_missing_baseline_exits_2(self, bench_dir, capsys):
+        write_bench(bench_dir, "one", CLEAN)
+        assert self.run_cli(bench_dir) == 2
+        assert "--update-baseline" in capsys.readouterr().err
 
-    def test_clean_tree_exits_0_and_slowed_bench_exits_1(
-            self, bench_dir, tmp_path, capsys):
-        """The acceptance-criterion pair, proved both ways."""
-        out_dir = tmp_path / "out"
-        baseline = tmp_path / "baseline.json"
-        write_bench(bench_dir, "speedy", """
-            def run(ctx):
-                return {"total": 123}
-        """)
-        code = self.run_cli("--bench-dir", str(bench_dir),
-                            "--output-dir", str(out_dir),
-                            "--repeat", "2", "--warmup", "0",
-                            "--update-baseline", str(baseline))
-        assert code == 0
-        assert "baseline updated" in capsys.readouterr().out
+    def test_clean_tree_exits_0(self, bench_dir, capsys):
+        write_bench(bench_dir, "clean", CLEAN)
+        write_pins(bench_dir, {"clean": output_checksum({"total": 123})})
+        assert self.run_cli(bench_dir) == 0
+        out = capsys.readouterr().out
+        assert "clean" in out and "pin ok" in out and "claims 1/1" in out
+        # the telemetry summary closes every run
+        assert "runtime telemetry" in out
 
-        # clean tree: same bench, same output -> exit 0
-        code = self.run_cli("--bench-dir", str(bench_dir),
-                            "--output-dir", str(out_dir),
-                            "--repeat", "2", "--warmup", "0",
-                            "--compare", str(baseline))
-        assert code == 0
-        assert "REGRESSION" not in capsys.readouterr().err
-
-        # artificially slowed (same output) -> time regression, exit 1
-        write_bench(bench_dir, "speedy", """
-            import time
-            def run(ctx):
-                time.sleep(0.12)
-                return {"total": 123}
-        """)
-        code = self.run_cli("--bench-dir", str(bench_dir),
-                            "--output-dir", str(out_dir),
-                            "--repeat", "2", "--warmup", "0",
-                            "--compare", str(baseline))
-        assert code == 1
+    def test_output_drift_exits_1(self, bench_dir, capsys):
+        write_bench(bench_dir, "golden", CLEAN)
+        write_pins(bench_dir, {"golden": output_checksum({"total": 124})})
+        assert self.run_cli(bench_dir) == 1
         captured = capsys.readouterr()
-        assert "REGRESSION: speedy: slower" in captured.err
-        # the BENCH_*.json artifact carries the measurement
-        payload = json.loads(result_path(out_dir, "speedy").read_text())
-        assert payload["median_seconds"] >= 0.12
-        assert payload["output_sha256"]
+        assert "pin drift" in captured.out
+        assert "FAILED: golden" in captured.err
 
-    def test_output_drift_exits_1(self, bench_dir, tmp_path, capsys):
-        baseline = tmp_path / "baseline.json"
-        write_bench(bench_dir, "golden", "def run(ctx):\n    return [1, 2]\n")
-        assert self.run_cli("--bench-dir", str(bench_dir),
-                            "--output-dir", str(tmp_path / "out"),
-                            "--repeat", "1", "--warmup", "0",
-                            "--update-baseline", str(baseline)) == 0
-        capsys.readouterr()
-        write_bench(bench_dir, "golden", "def run(ctx):\n    return [1, 3]\n")
-        code = self.run_cli("--bench-dir", str(bench_dir),
-                            "--output-dir", str(tmp_path / "out"),
-                            "--repeat", "1", "--warmup", "0",
-                            "--compare", str(baseline))
-        assert code == 1
-        assert "drift" in capsys.readouterr().err
+    def test_failed_claim_exits_1_and_is_named(self, bench_dir, capsys):
+        write_bench(bench_dir, "shape", """
+            def run(ctx):
+                return {"two": 0.76, "five": 0.79}
 
-    def test_failing_bench_exits_1_without_baseline(
-            self, bench_dir, tmp_path, capsys):
+            def claims(result):
+                return {"Table 9: 2-class >= 5-class":
+                        result["two"] >= result["five"]}
+        """)
+        write_pins(bench_dir,
+                   {"shape": output_checksum({"two": 0.76, "five": 0.79})})
+        assert self.run_cli(bench_dir) == 1
+        out = capsys.readouterr().out
+        assert "pin ok" in out and "claims 0/1" in out
+        assert "Table 9: 2-class >= 5-class" in out
+
+    def test_failing_bench_exits_1_without_baseline(self, bench_dir, capsys):
         write_bench(bench_dir, "boom", """
             def run(ctx):
                 raise RuntimeError("no")
+
+            def claims(result):
+                return {}
         """)
-        code = self.run_cli("--bench-dir", str(bench_dir),
-                            "--output-dir", str(tmp_path / "out"),
-                            "--repeat", "1", "--warmup", "0")
-        assert code == 1
+        write_pins(bench_dir, {})
+        assert self.run_cli(bench_dir, "--filter", "boom") == 1
         assert "RuntimeError" in capsys.readouterr().err
 
-    def test_compare_prints_delta_table(self, bench_dir, tmp_path, capsys):
-        baseline = tmp_path / "baseline.json"
-        write_bench(bench_dir, "tabled", "def run(ctx):\n    return 5\n")
-        self.run_cli("--bench-dir", str(bench_dir),
-                     "--output-dir", str(tmp_path / "out"),
-                     "--repeat", "1", "--warmup", "0",
-                     "--update-baseline", str(baseline))
-        capsys.readouterr()
-        self.run_cli("--bench-dir", str(bench_dir),
-                     "--output-dir", str(tmp_path / "out"),
-                     "--repeat", "1", "--warmup", "0",
-                     "--compare", str(baseline))
-        out = capsys.readouterr().out
-        assert "Benchmark comparison vs baseline" in out
-        assert "tabled" in out
+    def test_unpinned_bench_fails_only_unfiltered_runs(self, bench_dir):
+        write_bench(bench_dir, "kept", CLEAN)
+        write_bench(bench_dir, "newcomer", CLEAN)
+        write_pins(bench_dir, {"kept": output_checksum({"total": 123})})
+        assert self.run_cli(bench_dir) == 1
+        assert self.run_cli(bench_dir, "--filter", "kept") == 0
+        assert self.run_cli(bench_dir, "--filter", "newcomer") == 0
 
+    def test_update_baseline_writes_only_hashes(self, bench_dir, capsys):
+        write_bench(bench_dir, "alpha", CLEAN)
+        write_bench(bench_dir, "beta", """
+            def run(ctx):
+                return [1, 2]
 
-# -- peak-RSS staleness ------------------------------------------------------
-
-
-class TestRssStaleness:
-    """``rss_reset=False`` means ``peak_rss_kb`` is the process-lifetime
-    high-water mark, not this bench's: the comparison must skip any
-    RSS-derived judgment and say so instead of flagging phantom
-    regressions."""
-
-    def baseline_with_rss(self, rss):
-        return Baseline(entries={"x": BaselineEntry(
-            median_seconds=1.0, output_sha256="aa" * 32, peak_rss_kb=rss)})
-
-    def rss_result(self, rss_kb, reset):
-        result = make_result("x", 1.0)
-        result.peak_rss_kb = rss_kb
-        result.rss_reset = reset
-        return result
-
-    def test_stale_rss_skipped_and_annotated(self):
-        # grossly "grown" RSS, but un-reset: no judgment, explicit note
-        (delta,) = compare_results(
-            make_report(self.rss_result(999_999, reset=False)),
-            self.baseline_with_rss(1_000))
-        assert delta.status == "ok" and not delta.failed
-        assert "stale" in delta.rss_note and "not judged" in delta.rss_note
-
-    def test_stale_note_lands_in_bench_table(self):
-        from repro.reporting.tables import format_bench_table
-        (delta,) = compare_results(
-            make_report(self.rss_result(999_999, reset=False)),
-            self.baseline_with_rss(1_000))
-        assert "stale" in format_bench_table([delta])
-
-    def test_reset_rss_growth_is_advisory_only(self):
-        (delta,) = compare_results(
-            make_report(self.rss_result(2_000, reset=True)),
-            self.baseline_with_rss(1_000))
-        assert delta.status == "ok" and not delta.failed
-        assert "+100%" in delta.rss_note and "advisory" in delta.rss_note
-
-    def test_rss_within_tolerance_is_silent(self):
-        (delta,) = compare_results(
-            make_report(self.rss_result(1_100, reset=True)),
-            self.baseline_with_rss(1_000))
-        assert delta.rss_note == ""
-
-    def test_no_baseline_rss_is_silent(self):
-        base = Baseline(entries={"x": BaselineEntry(
-            median_seconds=1.0, output_sha256="aa" * 32)})
-        (delta,) = compare_results(
-            make_report(self.rss_result(2_000, reset=True)), base)
-        assert delta.rss_note == ""
-
-    def test_update_baseline_never_records_stale_rss(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        update_baseline(make_report(self.rss_result(1_000, reset=True)), path)
-        assert Baseline.load(path).entries["x"].peak_rss_kb == 1_000
-        # a stale refresh keeps the trustworthy figure ...
-        update_baseline(make_report(self.rss_result(999_999, reset=False)),
-                        path)
-        assert Baseline.load(path).entries["x"].peak_rss_kb == 1_000
-        # ... and a later reset measurement replaces it
-        update_baseline(make_report(self.rss_result(1_500, reset=True)), path)
-        assert Baseline.load(path).entries["x"].peak_rss_kb == 1_500
-
-
-# -- telemetry delta clamping ------------------------------------------------
-
-
-class TestTelemetryDeltaClamp:
-    """A counter rewound between snapshot and delta (aggregator reset
-    inside the measured block) must clamp to zero and be flagged, never
-    reported as a negative or silently-wrong increment."""
-
-    def make_telemetry(self):
-        from repro.runtime.telemetry import Telemetry
-        return Telemetry()
-
-    def test_rewound_counter_clamped_and_flagged(self):
-        telemetry = self.make_telemetry()
-        telemetry.record_cache("parse", hits=5, misses=3)
-        snapshot = telemetry.snapshot()
-        telemetry.reset()
-        telemetry.record_cache("parse", hits=1, misses=1)
-        delta = telemetry.delta_since(snapshot)
-        assert delta["caches"]["parse"] == {"hits": 0, "misses": 0}
-        assert "caches/parse" in delta["counter_resets"]
-
-    def test_cleared_counter_flagged_even_when_absent(self):
-        telemetry = self.make_telemetry()
-        telemetry.record_cache("parse", hits=2)
-        snapshot = telemetry.snapshot()
-        telemetry.reset()
-        delta = telemetry.delta_since(snapshot)
-        assert "caches/parse" in delta.get("counter_resets", [])
-
-    def test_forward_delta_not_flagged(self):
-        telemetry = self.make_telemetry()
-        telemetry.record_cache("parse", hits=1, misses=1)
-        snapshot = telemetry.snapshot()
-        telemetry.record_cache("parse", hits=2)
-        delta = telemetry.delta_since(snapshot)
-        assert delta["caches"]["parse"] == {"hits": 2, "misses": 0}
-        assert "counter_resets" not in delta
-
-    def test_stage_and_check_rewinds_flagged(self):
-        telemetry = self.make_telemetry()
-        telemetry.record("build", seconds=2.0, tasks=4)
-        telemetry.record_check("invariant", passed=True)
-        snapshot = telemetry.snapshot()
-        telemetry.reset()
-        telemetry.record("build", seconds=0.5, tasks=1)
-        delta = telemetry.delta_since(snapshot)
-        assert delta["stages"]["build"]["tasks"] == 0
-        resets = delta["counter_resets"]
-        assert "stages/build" in resets and "checks/invariant" in resets
+            def claims(result):
+                return {}
+        """)
+        assert self.run_cli(bench_dir, "--update-baseline") == 0
+        assert "baseline updated" in capsys.readouterr().out
+        pins = json.loads((bench_dir / "baseline.json").read_text())
+        assert pins == {"alpha": output_checksum({"total": 123}),
+                        "beta": output_checksum([1, 2])}
+        assert self.run_cli(bench_dir) == 0

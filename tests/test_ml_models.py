@@ -267,7 +267,9 @@ class TestEval:
         with pytest.raises(ValueError):
             kfold_indices(3, 5)
 
-    def test_cross_validate_runs_transform_on_train_only(self):
+    def test_cross_validate_runs_transform_on_train_only(self, monkeypatch):
+        # serial folds: a forked fold's calls.append never reaches here
+        monkeypatch.setenv("MPA_JOBS", "1")
         X, y = blob_data()
         calls = []
 
