@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test bench bench-check coverage smoke migrate-smoke serve-smoke whatif-smoke fuzz lint selfcheck chaos
+.PHONY: test bench bench-check coverage smoke serve-smoke whatif-smoke fuzz lint selfcheck chaos
 
 # tier-1 test suite
 test:
@@ -62,11 +62,6 @@ chaos:
 smoke:
 	MPA_JOBS=2 $(PYTHON) -m repro.cli bench --filter runtime_smoke --filter serve_load
 	$(PYTHON) tools/fused_smoke.py
-
-# legacy .npz -> columnar store round trip: the migrated store must be
-# byte-identical (dataset digest and manifest digest) to a direct build
-migrate-smoke:
-	$(PYTHON) tools/migrate_smoke.py
 
 # boot the real `mpa serve` subprocess on an ephemeral port, hit every
 # endpoint (200 + schema), require a cached repeat and a typed 400,

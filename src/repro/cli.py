@@ -32,9 +32,7 @@ Commands:
   store, dataset, and caches hot and answers every analysis family
   over HTTP/JSON with hash-keyed result caching (see
   :mod:`repro.serve`),
-* ``mpa corpus info`` — shard/column/byte accounting of the store,
-* ``mpa migrate`` — one-shot conversion of a legacy ``dataset.npz``
-  artifact into the sharded columnar store.
+* ``mpa corpus info`` — shard/column/byte accounting of the store.
 """
 
 from __future__ import annotations
@@ -169,10 +167,6 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--cache-size", type=int, default=None,
                    help="max cached endpoint results (default 256; "
                         "0 disables the result cache)")
-    p.add_argument("--memo-size", type=int, default=None,
-                   help="resize the process-wide content memos for "
-                        "long-lived serving (default: leave the "
-                        "MPA_CONTENT_MEMO-derived capacity)")
     p.add_argument("--verbose", action="store_true",
                    help="log each request line to stderr")
 
@@ -184,20 +178,6 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--state-dir", default=None,
                    help="inspect a streaming state dir's store instead "
                         "of the workspace's")
-
-    p = sub.add_parser("migrate",
-                       help="convert a legacy dataset.npz into the "
-                            "sharded columnar store (one-shot)")
-    _add_scale(p)
-    p.add_argument("--input", default=None,
-                   help="legacy .npz artifact (default: the "
-                        "workspace's dataset.npz)")
-    p.add_argument("--output", default=None,
-                   help="store directory to write (default: "
-                        "dataset.mpstore next to the input)")
-    p.add_argument("--delete-legacy", action="store_true",
-                   help="remove the .npz + sidecar after a verified "
-                        "conversion")
 
     p = sub.add_parser("top", help="top practices by MI (Table 3)")
     _add_scale(p)
@@ -433,15 +413,12 @@ def main(argv: list[str] | None = None) -> int:
             AnalyticsState,
             create_server,
             serve_forever,
-            tune_memos,
         )
         try:
-            store = workspace.store()  # builds on miss; typed on legacy
+            store = workspace.store()  # builds on miss
         except CorpusError as exc:
             print(str(exc), file=sys.stderr)
             return 2
-        if args.memo_size is not None:
-            tune_memos(args.memo_size)
         state = AnalyticsState.for_workspace(workspace)
         server = create_server(
             state,
@@ -475,9 +452,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.state_dir:
             root = Path(args.state_dir) / "dataset.mpstore"
             if not is_store(root):
-                print(f"no columnar store at {root} (run mpa ingest, "
-                      "or mpa migrate for a legacy artifact)",
-                      file=sys.stderr)
+                print(f"no columnar store at {root} (run mpa ingest "
+                      "to build it)", file=sys.stderr)
                 return 2
             store = CorpusStore.open(root)
         else:
@@ -487,36 +463,6 @@ def main(argv: list[str] | None = None) -> int:
                 print(str(exc), file=sys.stderr)
                 return 2
         print(format_store_table(store.info()))
-        return 0
-    if args.command == "migrate":
-        from pathlib import Path
-
-        from repro.errors import CorpusError
-        from repro.metrics.dataset import MetricDataset
-        from repro.stream.checkpoint import dataset_digest
-        input_path = (Path(args.input) if args.input
-                      else workspace.legacy_dataset_path)
-        output_path = (Path(args.output) if args.output
-                       else input_path.with_name("dataset.mpstore"))
-        try:
-            dataset = MetricDataset.load(input_path)
-        except CorpusError as exc:
-            print(f"cannot migrate: {exc}", file=sys.stderr)
-            return 2
-        before = dataset_digest(dataset)
-        dataset.save(output_path)
-        after = dataset_digest(MetricDataset.load(output_path))
-        if before != after:
-            print(f"migration verification FAILED: digest {before[:16]} "
-                  f"became {after[:16]} — the store at {output_path} "
-                  "does not reproduce the legacy table", file=sys.stderr)
-            return 1
-        print(f"migrated {input_path} -> {output_path}")
-        print(f"dataset digest {before[:16]}... verified identical")
-        if args.delete_legacy:
-            input_path.unlink(missing_ok=True)
-            input_path.with_suffix(".json").unlink(missing_ok=True)
-            print(f"legacy artifact {input_path} removed")
         return 0
     if args.command in ("ingest", "resume"):
         from pathlib import Path

@@ -29,7 +29,7 @@ from repro.util.memo import ContentMemo
 #: bump whenever :func:`diff_configs` output for the same inputs changes.
 DIFF_CODE_VERSION = 1
 
-#: Content-keyed cache of pair diffs (``MPA_CONTENT_MEMO`` caps it).
+#: Content-keyed cache of pair diffs (4,096 entries, LRU).
 DIFF_MEMO = ContentMemo("diff-memo")
 
 

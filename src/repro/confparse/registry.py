@@ -28,7 +28,7 @@ _PARSERS: dict[str, Callable[[str], DeviceConfig]] = {
     "eos": eos.parse,
 }
 
-#: Content-keyed cache of parsed configs (``MPA_CONTENT_MEMO`` caps it).
+#: Content-keyed cache of parsed configs (4,096 entries, LRU).
 PARSE_MEMO = ContentMemo("parse-memo")
 
 

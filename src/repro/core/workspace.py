@@ -3,7 +3,8 @@
 Benchmarks and examples share one expensive pipeline run per scale:
 synthesize the corpus, infer the metric table, and extract the raw change
 records. :class:`Workspace` memoizes all three on disk, keyed by scale
-and seed, so ``pytest benchmarks/`` only pays the cost once.
+and seed, so every ``mpa`` command, ``mpa bench`` and the examples pay
+the cost only once per cache directory.
 
 Control knobs (environment variables):
 
@@ -25,8 +26,6 @@ Cache-format and concurrency guarantees:
   directory, ``format_version.txt``) is
   written to a temporary name and atomically renamed into place;
   ``format_version.txt`` is written last and acts as the commit marker.
-  A pre-store monolithic ``dataset.npz`` left by an older build is
-  still readable (and convertible in place via ``mpa migrate``).
 * :meth:`Workspace.ensure` holds an advisory file lock
   (``.build.lock``) for the whole build, so two processes (e.g. pytest
   and a benchmark run) never interleave a build; the loser of the race
@@ -51,7 +50,6 @@ import os
 import pickle
 import struct
 import warnings
-import zipfile
 import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -79,10 +77,8 @@ from repro.version import CORPUS_FORMAT_VERSION
 #: smoke benchmark, or repeated benchmark iterations — share one corpus
 #: object instead of re-rendering every snapshot. Corpora are treated as
 #: immutable everywhere (scrubbing and fault injection both copy), which
-#: makes the sharing safe. The hard ``limit`` keeps at most a handful of
-#: corpora resident regardless of ``MPA_CONTENT_MEMO``; setting that
-#: variable to ``0`` disables this memo along with the content memos.
-_CORPUS_MEMO = ContentMemo("corpus-memo", limit=4)
+#: makes the sharing safe. At most four corpora stay resident.
+_CORPUS_MEMO = ContentMemo("corpus-memo", capacity=4)
 
 DEFAULT_SCALE = "small"
 
@@ -90,10 +86,9 @@ DEFAULT_SCALE = "small"
 _ARTIFACT_ERRORS = (
     OSError,  # includes gzip.BadGzipFile
     EOFError,  # truncated gzip stream
-    zipfile.BadZipFile,  # truncated npz
-    ValueError,  # includes json.JSONDecodeError, bad npz headers
-    KeyError,  # missing npz members / sidecar fields
-    TypeError,  # sidecar/meta fields of the wrong shape
+    ValueError,  # includes json.JSONDecodeError
+    KeyError,  # missing JSON fields
+    TypeError,  # JSON fields of the wrong shape
     CorpusError,
 )
 
@@ -268,12 +263,6 @@ class Workspace:
         return self.root / "dataset.mpstore"
 
     @property
-    def legacy_dataset_path(self) -> Path:
-        """Pre-store monolithic artifact; read (and ``mpa migrate``)
-        only — new builds always write :attr:`dataset_path`."""
-        return self.root / "dataset.npz"
-
-    @property
     def changes_path(self) -> Path:
         return self.root / "changes.jsonl.gz"
 
@@ -321,13 +310,13 @@ class Workspace:
                 and meta.get("n_months") == self.spec.n_months)
 
     def _dataset_present(self) -> bool:
-        """A committed store (or a readable legacy artifact) exists.
+        """A committed store exists.
 
         A ``dataset.mpstore`` directory *without* a manifest — an
         interrupted first build — does not count; only the manifest
         commit makes a store real.
         """
-        return is_store(self.dataset_path) or self.legacy_dataset_path.exists()
+        return is_store(self.dataset_path)
 
     def _cache_is_current(self) -> bool:
         """The single freshness predicate: derived artifacts committed at
@@ -382,9 +371,7 @@ class Workspace:
         """Drop the derived artifacts (keeps a current corpus for reuse)."""
         import shutil
         shutil.rmtree(self.dataset_path, ignore_errors=True)
-        for path in (self.legacy_dataset_path,
-                     self.legacy_dataset_path.with_suffix(".json"),
-                     self.changes_path, self.summary_path, self.quality_path,
+        for path in (self.changes_path, self.summary_path, self.quality_path,
                      self.version_path):
             path.unlink(missing_ok=True)
 
@@ -436,37 +423,23 @@ class Workspace:
             self._recover("corpus", exc)
             return Corpus.load(self.corpus_dir)
 
-    def _active_dataset_path(self) -> Path:
-        """The store when committed, else the legacy artifact."""
-        if is_store(self.dataset_path):
-            return self.dataset_path
-        return self.legacy_dataset_path
-
     def dataset(self) -> MetricDataset:
         """The inferred metric table (cached)."""
         self.ensure()
         try:
-            return MetricDataset.load(self._active_dataset_path())
+            return MetricDataset.load(self.dataset_path)
         except _ARTIFACT_ERRORS as exc:
             self._recover("dataset", exc)
-            return MetricDataset.load(self._active_dataset_path())
+            return MetricDataset.load(self.dataset_path)
 
     def store(self) -> CorpusStore:
         """The columnar store behind :meth:`dataset` (lazy reader).
 
         Use this when only a projection is needed — ``store().query()``
         faults in just the touched columns instead of materializing the
-        table. A workspace still on a legacy ``dataset.npz`` has no
-        store; that raises a :class:`~repro.errors.CorpusError` naming
-        ``mpa migrate``.
+        table.
         """
         self.ensure()
-        if not is_store(self.dataset_path):
-            raise CorpusError(
-                f"workspace {self.scale}-seed{self.seed} has no columnar "
-                f"store at {self.dataset_path} (legacy dataset.npz cache?) "
-                "— run 'mpa migrate' to convert it"
-            )
         try:
             return CorpusStore.open(self.dataset_path)
         except _ARTIFACT_ERRORS as exc:

@@ -13,8 +13,6 @@ mutual information, QED causal analysis, and predictive modelling.
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -34,7 +32,6 @@ from repro.runtime.telemetry import TELEMETRY
 from repro.store import CorpusStore, StoreWriter, is_store
 from repro.synthesis.corpus import Corpus
 from repro.types import CaseKey, ChangeEvent, ChangeRecord, MonthKey
-from repro.util.ioutils import atomic_write_text
 
 
 @dataclass
@@ -98,27 +95,19 @@ class MetricDataset:
 
     # -- persistence -------------------------------------------------------
 
-    def save(self, path: str | Path, *, durable: bool = False) -> str | None:
-        """Persist the dataset at ``path``.
+    def save(self, path: str | Path, *, durable: bool = False) -> str:
+        """Persist the dataset as a sharded columnar store at ``path``.
 
-        A path ending in ``.npz`` writes the **legacy** monolithic
-        artifact (compressed ``.npz`` + JSON sidecar, kept for old
-        caches and the ``mpa migrate`` round-trip); any other path
-        writes the sharded columnar store (:mod:`repro.store`) — one
-        immutable per-network shard plus a versioned manifest, which is
-        what every pipeline layer uses now. Either way each file is
-        written to a temporary name and renamed into place, so a crash
-        mid-write never leaves a truncated artifact under the final
-        name; ``durable=True`` additionally fsyncs (store format only).
+        The store (:mod:`repro.store`) is one immutable per-network
+        shard plus a versioned manifest. Each file is written to a
+        temporary name and renamed into place, so a crash mid-write
+        never leaves a truncated artifact under the final name;
+        ``durable=True`` additionally fsyncs.
 
-        Returns the committed store's manifest digest (``None`` for the
-        legacy format) — streaming checkpoints record it as a fast
-        certification path.
+        Returns the committed store's manifest digest — streaming
+        checkpoints record it to certify the saved table on resume.
         """
         path = Path(path)
-        if path.suffix == ".npz":
-            self._save_legacy(path)
-            return None
         writer = StoreWriter(path, durable=durable)
         for network_id, start, stop in self._network_runs():
             writer.append(
@@ -156,87 +145,25 @@ class MetricDataset:
                 start = i
         return runs
 
-    def _save_legacy(self, path: Path) -> None:
-        # the temp name must keep the .npz suffix or numpy appends one
-        tmp = path.with_name(f"{path.name}.tmp-{os.getpid()}.npz")
-        np.savez_compressed(tmp, values=self.values, tickets=self.tickets)
-        os.replace(tmp, path)
-        atomic_write_text(path.with_suffix(".json"), json.dumps({
-            "names": self.names,
-            "case_networks": self.case_networks,
-            "case_month_indices": self.case_month_indices,
-            "epoch": [self.epoch.year, self.epoch.month],
-        }))
-
     @classmethod
     def load(cls, path: str | Path) -> "MetricDataset":
-        """Load a dataset saved by :meth:`save` (store or legacy format).
+        """Load a dataset saved by :meth:`save`.
 
-        A directory with a store manifest loads through
-        :class:`repro.store.CorpusStore`; anything else takes the
-        legacy ``.npz`` + sidecar path. Damage in either substrate — a
-        missing artifact, a manifest/shard version mismatch, a
-        truncated or trailing-garbage column file, a sidecar that does
-        not match the arrays — surfaces as
+        Anything that is not a committed store — a missing path, a plain
+        file, a store directory whose manifest is gone — and any damage
+        inside one (a manifest/shard version mismatch, a truncated or
+        trailing-garbage column file) surfaces as
         :class:`~repro.errors.CorpusError` naming the offending path,
         never a bare ``FileNotFoundError``/``KeyError``/crash
         (:class:`~repro.errors.StoreError` is a ``CorpusError``).
         """
         path = Path(path)
-        if is_store(path):
-            return CorpusStore.open(path).dataset()
-        if path.is_dir():
-            # a store directory whose manifest is gone (interrupted
-            # first commit, manual damage): same contract as a missing
-            # monolithic artifact
+        if not is_store(path):
             raise CorpusError(
-                f"no metric dataset at {path} (directory without a "
-                "store manifest)"
+                f"no metric dataset at {path} (not a committed columnar "
+                "store)"
             )
-        return cls._load_legacy(path)
-
-    @classmethod
-    def _load_legacy(cls, path: Path) -> "MetricDataset":
-        if path.suffix != ".npz":
-            path = path.with_suffix(".npz")
-        sidecar = path.with_suffix(".json")
-        try:
-            arrays = np.load(path)
-        except FileNotFoundError:
-            raise CorpusError(f"no metric dataset at {path}") from None
-        try:
-            meta = json.loads(sidecar.read_text())
-        except FileNotFoundError:
-            raise CorpusError(
-                f"metric dataset sidecar missing at {sidecar} "
-                f"(for {path})"
-            ) from None
-        try:
-            values = arrays["values"]
-            tickets = arrays["tickets"]
-        except KeyError as exc:
-            raise CorpusError(
-                f"metric dataset {path} is missing array {exc}"
-            ) from None
-        try:
-            dataset = cls(
-                names=meta["names"],
-                case_networks=meta["case_networks"],
-                case_month_indices=meta["case_month_indices"],
-                values=values,
-                tickets=tickets,
-                epoch=MonthKey(*meta["epoch"]),
-            )
-        except KeyError as exc:
-            raise CorpusError(
-                f"metric dataset sidecar {sidecar} is missing field {exc}"
-            ) from None
-        except (ValueError, TypeError) as exc:
-            raise CorpusError(
-                f"metric dataset sidecar {sidecar} does not match "
-                f"{path}: {exc}"
-            ) from None
-        return dataset
+        return CorpusStore.open(path).dataset()
 
 
 @dataclass

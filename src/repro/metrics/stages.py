@@ -78,17 +78,17 @@ STAGE_NAMES = ("parse", "events", "metrics", "health")
 #: The content memos whose per-unit activity is reported alongside the
 #: stage cache stats (keys appear only when the unit exercised them, so
 #: all-hit invariants over ``cache_stats`` stay meaningful).
-_CONTENT_MEMOS = (PARSE_MEMO, FEATURE_MEMO, DIFF_MEMO)
+CONTENT_MEMOS = (PARSE_MEMO, FEATURE_MEMO, DIFF_MEMO)
 
 
 def _memo_snapshot() -> dict[str, tuple[int, int]]:
-    return {memo.name: memo.stats() for memo in _CONTENT_MEMOS}
+    return {memo.name: memo.stats() for memo in CONTENT_MEMOS}
 
 
 def _memo_deltas(base: dict[str, tuple[int, int]],
                  ) -> dict[str, tuple[int, int]]:
     deltas: dict[str, tuple[int, int]] = {}
-    for memo in _CONTENT_MEMOS:
+    for memo in CONTENT_MEMOS:
         hits0, misses0 = base[memo.name]
         hits1, misses1 = memo.stats()
         if hits1 - hits0 or misses1 - misses0:

@@ -32,7 +32,6 @@ from repro.serve.server import (
     ServeStats,
     create_server,
     serve_forever,
-    tune_memos,
 )
 
 __all__ = [
@@ -57,5 +56,4 @@ __all__ = [
     "result_key",
     "run_load",
     "serve_forever",
-    "tune_memos",
 ]

@@ -127,7 +127,7 @@ class AnalyticsState:
         if not is_store(self.store_root):
             raise StoreError(
                 f"no committed columnar store at {self.store_root} "
-                "(run mpa synthesize, or mpa migrate for a legacy cache)"
+                "(run mpa synthesize to build it)"
             )
         sig = self._stat_sig()
         with self._lock:

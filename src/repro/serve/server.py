@@ -35,6 +35,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qsl, urlsplit
 
 from repro.errors import StoreError
+from repro.metrics.stages import CONTENT_MEMOS
 from repro.serve.cache import DEFAULT_CACHE_SIZE, ResultCache
 from repro.serve.handlers import ENDPOINTS, AnalyticsState, BadRequest
 
@@ -91,27 +92,6 @@ class ServeStats:
         }
 
 
-def _content_memos() -> list:
-    """The process-wide content memos the service keeps hot."""
-    from repro.confparse.diff import DIFF_MEMO
-    from repro.confparse.registry import PARSE_MEMO
-    from repro.metrics.design import FEATURE_MEMO
-    return [PARSE_MEMO, FEATURE_MEMO, DIFF_MEMO]
-
-
-def tune_memos(capacity: int | None) -> None:
-    """Resize the process-wide content memos for long-lived serving.
-
-    Uses :meth:`~repro.util.memo.ContentMemo.reconfigure`, so a smaller
-    cap takes effect immediately (LRU overflow evicted) and a larger
-    one grows the memo without dropping entries — the ``--memo-size``
-    startup knob of ``mpa serve``. ``None`` returns every memo to its
-    env-derived (``MPA_CONTENT_MEMO``) capacity.
-    """
-    for memo in _content_memos():
-        memo.reconfigure(capacity)
-
-
 class AnalyticsHTTPServer(ThreadingHTTPServer):
     """ThreadingHTTPServer + resident analytics state and result cache."""
 
@@ -163,7 +143,7 @@ class AnalyticsHTTPServer(ThreadingHTTPServer):
             {"name": memo.name, "entries": len(memo),
              "capacity": memo.capacity, "hits": memo.stats()[0],
              "misses": memo.stats()[1]}
-            for memo in _content_memos()
+            for memo in CONTENT_MEMOS
         ]
         return ServeStats(
             uptime_seconds=time.monotonic() - self.started,

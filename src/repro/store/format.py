@@ -351,8 +351,8 @@ class Manifest:
         if version != STORE_FORMAT_VERSION:
             raise StoreError(
                 f"store manifest {path} has format version {version!r}, "
-                f"this build reads {STORE_FORMAT_VERSION} — run "
-                "'mpa migrate' (or rebuild) to convert"
+                f"this build reads {STORE_FORMAT_VERSION} — rebuild the "
+                "store from its corpus"
             )
         try:
             epoch = data["epoch"]

@@ -85,10 +85,9 @@ class IngestCheckpoint:
     dataset_digest: str = ""
     quality_digest: str = ""
     #: manifest digest of the columnar store the dataset was saved to
-    #: (covers every shard's sha256 transitively). Resume uses it as a
-    #: fast certification path — header reads only, no column data —
-    #: with ``dataset_digest`` as the substrate-independent fallback.
-    #: Empty for checkpoints written against a legacy ``.npz`` artifact.
+    #: (covers every shard's sha256 transitively). Resume certifies the
+    #: saved table with it — header reads only, no column data; an empty
+    #: one (a pre-store checkpoint) makes resume rebuild.
     store_digest: str = ""
     #: network id -> stage-key dict (parse/events/metrics/health)
     stage_keys: dict[str, dict[str, str]] = field(default_factory=dict)

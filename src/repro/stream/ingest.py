@@ -12,8 +12,7 @@ source of truth:
       wal/              append-only event journal (repro.stream.journal)
       cache/            durable StageCache (fsynced content-addressed store)
       checkpoint.json   which WAL prefix the artifacts reflect
-      dataset.mpstore/  current metric table (sharded columnar store;
-                        a pre-store dataset.npz is still readable)
+      dataset.mpstore/  current metric table (sharded columnar store)
       quality.json      DataQualityReport + dead-letter ledger
       deadletter.jsonl  quarantined events, one JSON object per line
       health.json       rolling health prediction over the newest month
@@ -328,11 +327,6 @@ class StreamIngester:
         return self.state_dir / "dataset.mpstore"
 
     @property
-    def legacy_dataset_path(self) -> Path:
-        """Pre-store monolithic artifact (read-only compatibility)."""
-        return self.state_dir / "dataset.npz"
-
-    @property
     def quality_path(self) -> Path:
         return self.state_dir / "quality.json"
 
@@ -535,28 +529,22 @@ class StreamIngester:
         return False
 
     def _dataset_artifact_current(self) -> bool:
-        """The saved dataset matches the checkpoint's digests.
+        """The saved store matches the checkpoint's ``store_digest``.
 
-        Fast path: when the checkpoint carries a ``store_digest`` and a
-        committed store exists, compare manifest digests — the manifest
-        transitively covers every shard's sha256, so this certifies the
-        whole table with header reads only, no column materialization.
-        Anything else (legacy checkpoint, legacy artifact, damaged
-        store) falls back to loading and digesting the full dataset.
+        The manifest digest transitively covers every shard's sha256,
+        so this certifies the whole table with header reads only, no
+        column materialization. A checkpoint without a ``store_digest``,
+        a missing store or a damaged manifest is not current: resume
+        certifies it by rebuilding.
         """
-        if self.checkpoint.store_digest and is_store(self.dataset_path):
-            try:
-                return (CorpusStore.open(self.dataset_path).digest()
-                        == self.checkpoint.store_digest)
-            except Exception:
-                return False  # torn manifest: certify by rebuilding
-        path = (self.dataset_path if is_store(self.dataset_path)
-                else self.legacy_dataset_path)
+        if not (self.checkpoint.store_digest
+                and is_store(self.dataset_path)):
+            return False
         try:
-            dataset = MetricDataset.load(path)
+            return (CorpusStore.open(self.dataset_path).digest()
+                    == self.checkpoint.store_digest)
         except Exception:
-            return False  # artifact torn/missing: certify by rebuilding
-        return dataset_digest(dataset) == self.checkpoint.dataset_digest
+            return False  # torn manifest: certify by rebuilding
 
     def _rebuild_and_checkpoint(self, out: IngestResult) -> None:
         dirty = sorted(self._dirty)
@@ -573,8 +561,7 @@ class StreamIngester:
         self._fault_point("pre-artifact-save")
         # per-network shard appends + one manifest commit: unchanged
         # networks' shards are content-addressed reuses, not writes
-        store_digest = built.dataset.save(self.dataset_path,
-                                          durable=True) or ""
+        store_digest = built.dataset.save(self.dataset_path, durable=True)
         quality_doc = report.to_dict()
         quality_doc["dead_letters"] = [
             letter.to_dict() for letter in self.dead_letters

@@ -9,14 +9,12 @@ incremental one, repeated benchmark iterations — is served from memory
 instead of being recomputed. Values must be treated as immutable by
 every consumer (they are shared between all hits).
 
-Capacity is bounded (LRU eviction) so long-lived processes cannot grow
-without limit; ``MPA_CONTENT_MEMO`` overrides the per-memo entry cap
-(``0`` disables content memos entirely).
+Capacity is fixed at construction (LRU eviction past it), so
+long-lived processes cannot grow without limit.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 from collections import OrderedDict
 
@@ -24,85 +22,19 @@ from collections import OrderedDict
 #: small-scale corpus while bounding resident memory at larger scales.
 DEFAULT_CAPACITY = 4096
 
-#: Environment variable overriding the cap (0 disables memoization).
-ENV_CAPACITY = "MPA_CONTENT_MEMO"
-
 _MISS = object()
 
 
-def memo_capacity() -> int:
-    """The configured per-memo entry cap (``MPA_CONTENT_MEMO`` wins)."""
-    env = os.environ.get(ENV_CAPACITY, "").strip()
-    if not env:
-        return DEFAULT_CAPACITY
-    try:
-        capacity = int(env)
-    except ValueError:
-        raise ValueError(f"{ENV_CAPACITY}={env!r} is not an integer") from None
-    if capacity < 0:
-        raise ValueError(f"{ENV_CAPACITY} must be >= 0, got {capacity}")
-    return capacity
-
-
 class ContentMemo:
-    """Thread-safe bounded LRU memo with hit/miss counters.
+    """Thread-safe bounded LRU memo with hit/miss counters."""
 
-    The capacity is re-read from the environment lazily — on first use
-    and again after every :meth:`clear` — so tests, long-lived servers,
-    and ``MPA_CONTENT_MEMO=0`` runs can reconfigure the process-wide
-    memos without import-order games. A capacity passed to the
-    constructor (or set via :meth:`reconfigure`) is pinned and wins over
-    the environment until un-pinned.
-    """
-
-    def __init__(self, name: str, capacity: int | None = None,
-                 limit: int | None = None) -> None:
+    def __init__(self, name: str, capacity: int = DEFAULT_CAPACITY) -> None:
         self.name = name
-        #: pinned capacity (constructor / reconfigure); None = env-derived
-        self._pinned = capacity
-        #: resolved effective capacity, re-derived lazily when None
-        self._capacity = capacity
-        #: hard upper bound on the effective capacity, for memos whose
-        #: values are large (e.g. whole corpora): the environment can
-        #: still *disable* the memo but never grow it past this.
-        self._limit = limit
+        self.capacity = capacity
         self._data: OrderedDict = OrderedDict()
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
-
-    @property
-    def capacity(self) -> int:
-        if self._capacity is None:
-            self._capacity = memo_capacity()
-        if self._limit is not None:
-            return min(self._capacity, self._limit)
-        return self._capacity
-
-    def reconfigure(self, capacity: int | None) -> None:
-        """Pin the entry cap at runtime (``None`` returns the memo to
-        the env-derived capacity, re-read immediately).
-
-        Long-lived processes — ``mpa serve`` tunes the parse/diff/
-        feature memos at startup — use this to resize without dropping
-        still-valid entries; only the LRU overflow past the new cap is
-        evicted.
-        """
-        if capacity is not None and capacity < 0:
-            raise ValueError(f"capacity must be >= 0, got {capacity}")
-        with self._lock:
-            self._pinned = capacity
-            self._capacity = capacity
-            self._trim()
-
-    def _trim(self) -> None:
-        """Evict LRU overflow past the effective capacity (lock held)."""
-        cap = self._capacity if self._capacity is not None \
-            else memo_capacity()
-        if self._limit is not None:
-            cap = min(cap, self._limit)
-        while len(self._data) > cap:
-            self._data.popitem(last=False)
 
     @property
     def enabled(self) -> bool:
@@ -141,15 +73,9 @@ class ContentMemo:
         with self._lock:
             return len(self._data)
 
-    def clear(self, reset_capacity: bool = False) -> None:
-        """Drop every entry, zero the counters, and un-cache an
-        env-derived capacity so ``MPA_CONTENT_MEMO`` is honored on the
-        next use (a pinned capacity survives; pass
-        ``reset_capacity=True`` to drop the pin too)."""
+    def clear(self) -> None:
+        """Drop every entry and zero the counters."""
         with self._lock:
             self._data.clear()
             self.hits = 0
             self.misses = 0
-            if reset_capacity:
-                self._pinned = None
-            self._capacity = self._pinned

@@ -234,27 +234,3 @@ class TestStoreCli:
         err = capsys.readouterr().err
         assert "query failed" in err
         assert "not_a_metric" in err
-
-    def test_migrate_round_trip(self, workspace_env, tmp_path, capsys):
-        from repro.core.workspace import Workspace
-        from repro.metrics.dataset import MetricDataset
-        ws = Workspace.default("tiny")
-        legacy = tmp_path / "legacy" / "dataset.npz"
-        legacy.parent.mkdir()
-        baseline = ws.dataset()
-        baseline.save(legacy)
-        capsys.readouterr()
-        assert main(["migrate", "--input", str(legacy),
-                     "--delete-legacy"]) == 0
-        out = capsys.readouterr().out
-        assert "verified identical" in out
-        assert not legacy.exists()
-        migrated = MetricDataset.load(legacy.with_name("dataset.mpstore"))
-        assert migrated.values.tobytes() == baseline.values.tobytes()
-        assert migrated.case_networks == baseline.case_networks
-
-    def test_migrate_missing_input_fails(self, workspace_env, tmp_path,
-                                         capsys):
-        assert main(["migrate", "--input",
-                     str(tmp_path / "nope.npz")]) == 2
-        assert "cannot migrate" in capsys.readouterr().err

@@ -1,8 +1,8 @@
 """Tests for the content-memo layer feeding the hot-path rebuild.
 
-Covers the bounded LRU itself, the environment gate, and the
-content-keyed wrappers around parsing, feature extraction, and pair
-diffing (shared-value semantics, digest stamping, failure handling).
+Covers the bounded LRU itself and the content-keyed wrappers around
+parsing, feature extraction, and pair diffing (shared-value semantics,
+digest stamping, failure handling).
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from repro.confparse.diff import DIFF_MEMO, diff_configs, diff_configs_cached
 from repro.confparse.registry import PARSE_MEMO, config_digest, parse_config
 from repro.errors import ConfigParseError
 from repro.metrics.design import FEATURE_MEMO, extract_device_features
-from repro.util.memo import ENV_CAPACITY, ContentMemo, memo_capacity
+from repro.util.memo import ContentMemo
 
 IOS_TEXT = """\
 hostname lab1
@@ -34,7 +34,7 @@ def clean_memos():
         memo.clear()
     yield
     for memo in (PARSE_MEMO, FEATURE_MEMO, DIFF_MEMO):
-        memo.clear(reset_capacity=True)
+        memo.clear()
 
 
 class TestContentMemo:
@@ -60,64 +60,15 @@ class TestContentMemo:
         memo.put("x", 1)
         assert len(memo) == 0
 
-    def test_env_capacity_parsing(self, monkeypatch):
-        monkeypatch.setenv(ENV_CAPACITY, "17")
-        assert memo_capacity() == 17
-        monkeypatch.setenv(ENV_CAPACITY, "junk")
-        with pytest.raises(ValueError, match="not an integer"):
-            memo_capacity()
-        monkeypatch.setenv(ENV_CAPACITY, "-1")
-        with pytest.raises(ValueError, match=">= 0"):
-            memo_capacity()
-
-    def test_clear_rereads_env_capacity(self, monkeypatch):
-        """A memo touched once must not pin the env-derived capacity
-        forever: clear() drops the cached value so MPA_CONTENT_MEMO
-        changes take effect, as the class docstring promises."""
-        monkeypatch.setenv(ENV_CAPACITY, "3")
-        memo = ContentMemo("t")
-        assert memo.capacity == 3  # first read caches the env value
-        monkeypatch.setenv(ENV_CAPACITY, "7")
-        assert memo.capacity == 3  # still cached mid-run (by design)
-        memo.clear()
-        assert memo.capacity == 7  # plain clear() re-reads the env
-
-    def test_clear_keeps_pinned_capacity(self, monkeypatch):
-        monkeypatch.setenv(ENV_CAPACITY, "99")
+    def test_clear_keeps_pinned_capacity(self):
+        """clear() drops entries and counters; the constructor's
+        capacity survives it."""
         memo = ContentMemo("t", capacity=2)
+        memo.put("a", 1)
+        assert memo.get("a") == 1
         memo.clear()
-        assert memo.capacity == 2  # constructor pin survives clear()
-        memo.clear(reset_capacity=True)
-        assert memo.capacity == 99  # explicit reset drops the pin
-
-    def test_reconfigure_resizes_and_trims(self):
-        """The serve-startup path: a long-lived server resizes the
-        process-wide memos without dropping still-valid entries."""
-        memo = ContentMemo("t", capacity=4)
-        for key in "abcd":
-            memo.put(key, key.upper())
-        memo.reconfigure(2)
+        assert len(memo) == 0 and memo.stats() == (0, 0)
         assert memo.capacity == 2
-        assert len(memo) == 2  # LRU overflow evicted, newest survive
-        assert memo.get("d") == "D" and memo.get("c") == "C"
-        memo.reconfigure(None)  # back to env-derived
-        assert memo.capacity == memo_capacity()
-        with pytest.raises(ValueError, match=">= 0"):
-            memo.reconfigure(-1)
-
-    def test_reconfigure_respects_hard_limit(self, monkeypatch):
-        monkeypatch.delenv(ENV_CAPACITY, raising=False)
-        memo = ContentMemo("t", limit=2)
-        memo.reconfigure(1000)
-        assert memo.capacity == 2  # the hard limit still wins
-
-    def test_hard_limit_caps_env_capacity(self, monkeypatch):
-        monkeypatch.setenv(ENV_CAPACITY, "1000")
-        memo = ContentMemo("t", limit=2)
-        assert memo.capacity == 2
-        monkeypatch.setenv(ENV_CAPACITY, "0")
-        assert not ContentMemo("t2", limit=2).enabled
-
 
 class TestParseMemo:
     def test_repeat_parse_shares_object(self):

@@ -195,8 +195,8 @@ class TestDataset:
         assert subset.values.shape[1] == tiny_dataset.values.shape[1]
 
     def test_save_load(self, tiny_dataset, tmp_path):
-        tiny_dataset.save(tmp_path / "ds.npz")
-        loaded = MetricDataset.load(tmp_path / "ds.npz")
+        tiny_dataset.save(tmp_path / "ds.mpstore")
+        loaded = MetricDataset.load(tmp_path / "ds.mpstore")
         assert loaded.names == tiny_dataset.names
         assert np.array_equal(loaded.values, tiny_dataset.values)
         assert np.array_equal(loaded.tickets, tiny_dataset.tickets)

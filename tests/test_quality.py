@@ -7,7 +7,7 @@ import pytest
 from repro.cli import main
 from repro.errors import CorpusError, DataError
 from repro.faults import FaultPlan, inject_faults
-from repro.metrics.dataset import MetricDataset, build_dataset
+from repro.metrics.dataset import MetricDataset
 from repro.metrics.quality import (
     DEFAULT_MAX_BAD_FRACTION,
     DataQualityReport,
@@ -151,48 +151,14 @@ class TestScrubCorpus(object):
 
 class TestDatasetLoadErrors:
     def test_missing_npz(self, tmp_path):
-        missing = tmp_path / "nope.npz"
-        with pytest.raises(CorpusError, match=str(missing)):
-            MetricDataset.load(missing)
-
-    def test_missing_sidecar(self, tmp_path, tiny_corpus):
-        dataset = build_dataset(tiny_corpus)
-        path = tmp_path / "dataset.npz"
-        dataset.save(path)
-        path.with_suffix(".json").unlink()
-        with pytest.raises(CorpusError, match="sidecar missing"):
-            MetricDataset.load(path)
-
-    def test_missing_array(self, tmp_path, tiny_corpus):
-        import numpy as np
-        dataset = build_dataset(tiny_corpus)
-        path = tmp_path / "dataset.npz"
-        dataset.save(path)
-        np.savez(path, values=dataset.values)  # no tickets array
-        with pytest.raises(CorpusError, match="missing array"):
-            MetricDataset.load(path)
-
-    def test_missing_sidecar_field(self, tmp_path, tiny_corpus):
-        dataset = build_dataset(tiny_corpus)
-        path = tmp_path / "dataset.npz"
-        dataset.save(path)
-        sidecar = path.with_suffix(".json")
-        meta = json.loads(sidecar.read_text())
-        del meta["epoch"]
-        sidecar.write_text(json.dumps(meta))
-        with pytest.raises(CorpusError, match="missing field"):
-            MetricDataset.load(path)
-
-    def test_mismatched_sidecar(self, tmp_path, tiny_corpus):
-        dataset = build_dataset(tiny_corpus)
-        path = tmp_path / "dataset.npz"
-        dataset.save(path)
-        sidecar = path.with_suffix(".json")
-        meta = json.loads(sidecar.read_text())
-        meta["case_networks"] = meta["case_networks"][:3]
-        sidecar.write_text(json.dumps(meta))
-        with pytest.raises(CorpusError, match="does not match"):
-            MetricDataset.load(path)
+        """Only a committed store loads: a missing path and a plain file
+        each raise a typed error naming that path."""
+        missing = tmp_path / "nope"
+        plain = tmp_path / "dataset.bin"
+        plain.write_bytes(b"not a columnar store")
+        for path in (missing, plain):
+            with pytest.raises(CorpusError, match=str(path)):
+                MetricDataset.load(path)
 
 
 class TestAtomicWriteText:

@@ -26,7 +26,6 @@ from repro.serve import (
     fetch_json,
     result_key,
     run_load,
-    tune_memos,
 )
 from repro.serve.handlers import (
     handle_causal,
@@ -414,15 +413,3 @@ class TestConcurrentRewrite:
         assert second.digest == first.digest
         assert second.namespace == first.namespace
         assert state.reloads == 0  # same content, not a reload
-
-
-class TestServeStartupTuning:
-    def test_tune_memos_resizes_process_memos(self):
-        from repro.confparse.registry import PARSE_MEMO
-        before = PARSE_MEMO.capacity
-        try:
-            tune_memos(11)
-            assert PARSE_MEMO.capacity == 11
-        finally:
-            tune_memos(None)  # back to env-derived for other tests
-        assert PARSE_MEMO.capacity == before

@@ -111,8 +111,8 @@ class TestManifest:
         manifest_path.write_text(json.dumps(doc))
         with pytest.raises(CorpusError, match="format version"):
             CorpusStore.open(store.root)
-        # the message points at the converter
-        with pytest.raises(StoreError, match="mpa migrate"):
+        # the message tells the user to rebuild
+        with pytest.raises(StoreError, match="rebuild the store"):
             CorpusStore.open(store.root)
 
     def test_missing_manifest(self, tmp_path):

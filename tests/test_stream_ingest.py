@@ -94,6 +94,23 @@ class TestResume:
         assert resumed.batches == 1
         assert resumed.dataset_digest == first.dataset_digest
 
+    def test_checkpoint_without_store_digest_rebuilds(self, split, state):
+        """A checkpoint with no ``store_digest`` (the shape of a
+        pre-store checkpoint) cannot certify the saved table: resume
+        rebuilds and lands on the uninterrupted run's digests."""
+        _, _, payloads = split
+        first = state.ingest(payloads)
+        first_quality = state.checkpoint.quality_digest
+        checkpoint = IngestCheckpoint.load(state.checkpoint_path)
+        checkpoint.store_digest = ""
+        checkpoint.save(state.checkpoint_path)
+        reopened = StreamIngester(state.state_dir)
+        resumed = reopened.resume()
+        assert resumed.batches == 1
+        assert resumed.dataset_digest == first.dataset_digest
+        assert reopened.checkpoint.quality_digest == first_quality
+        assert reopened.checkpoint.store_digest
+
     def test_unjournaled_suffix_triggers_rebuild(self, split, state):
         _, _, payloads = split
         state.ingest(payloads[:-5])

@@ -16,7 +16,7 @@ requires:
 4. **shutdown is clean** — SIGTERM drains the server, the process
    exits 0, and the final stats table reaches stdout.
 
-Exercised in CI next to the fused/migrate smokes; run locally via
+Exercised in CI next to the fused-path smoke; run locally via
 ``make serve-smoke``.
 """
 
@@ -85,8 +85,7 @@ def run() -> int:
         env["MPA_SCALE"] = "tiny"
         env["PYTHONPATH"] = f"{SRC}{os.pathsep}" + env.get("PYTHONPATH", "")
         proc = subprocess.Popen(
-            [sys.executable, "-m", "repro.cli", "serve", "--port", "0",
-             "--memo-size", "1024"],
+            [sys.executable, "-m", "repro.cli", "serve", "--port", "0"],
             env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
             text=True,
         )
